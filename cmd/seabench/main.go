@@ -421,9 +421,9 @@ func run(scale, only string, jsonOut bool) error {
 		}
 		if !em.emit("E17", r) {
 			fmt.Println("== E17: serving hot path (zero-alloc tiers, answer cache, batched scatter RPCs) ==")
-			fmt.Printf("try_predict=%.0fns (%.2f allocs)  cache_hit=%.0fns (%.2f allocs)  qps=%.0f  p99=%v  cache_hit_rate=%.2f  rpcs/query=%.2f (max holders %d)\n\n",
+			fmt.Printf("try_predict=%.0fns (%.2f allocs)  cache_hit=%.0fns (%.2f allocs)  qps=%.0f  p99=%v  cache_hit_rate=%.2f  rpcs/query=%.2f (min cover %d)\n\n",
 				r.TryPredictNsOp, r.TryPredictAllocsOp, r.CacheHitNsOp, r.CacheHitAllocsOp,
-				r.QPS, r.P99, r.CacheHitRate, r.RPCsPerQuery, r.MaxRemoteHolders)
+				r.QPS, r.P99, r.CacheHitRate, r.RPCsPerQuery, r.MinCover)
 		}
 	}
 

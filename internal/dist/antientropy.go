@@ -166,7 +166,7 @@ func (n *Node) AntiEntropyTick() int {
 	}
 	n.mu.RUnlock()
 	for _, p := range held {
-		owners := ms.ring.Owners(partKey(p), n.cfg.Replicas)
+		owners := ms.partOwners(p)
 		if len(owners) == 0 || owners[0] == n.id {
 			continue // primary is ground truth; nothing to compare against
 		}

@@ -102,27 +102,38 @@ func (b *breaker) window() (ok, fail int64) {
 func (b *breaker) allow(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if !b.admits(now) {
+		return false
+	}
+	if b.state != breakerClosed {
+		b.state = breakerHalfOpen
+		b.probing = true
+		b.probedAt = now
+	}
+	return true
+}
+
+// peek reports whether allow would admit a call now, without claiming
+// the half-open probe slot.
+func (b *breaker) peek(now time.Time) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.admits(now)
+}
+
+// admits is allow's decision without its side effects. An open breaker
+// admits its first probe once openFor has passed; a half-open one
+// sheds while its probe is out, but reclaims a slot whose holder never
+// reported back (the admitted caller bailed before sending): after
+// openFor the slot is considered leaked and reseated. Caller holds b.mu.
+func (b *breaker) admits(now time.Time) bool {
 	switch b.state {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if now.Sub(b.openedAt) < b.cfg.openFor {
-			return false
-		}
-		b.state = breakerHalfOpen
-		b.probing = true
-		b.probedAt = now
-		return true
+		return now.Sub(b.openedAt) >= b.cfg.openFor
 	default: // half-open
-		// Reclaim a probe slot whose holder never reported back (the
-		// admitted caller bailed before sending): after openFor the
-		// slot is considered leaked and reseated.
-		if b.probing && now.Sub(b.probedAt) <= b.cfg.openFor {
-			return false
-		}
-		b.probing = true
-		b.probedAt = now
-		return true
+		return !b.probing || now.Sub(b.probedAt) > b.cfg.openFor
 	}
 }
 

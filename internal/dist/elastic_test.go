@@ -349,3 +349,61 @@ func TestElasticCloseDrainUnderIngest(t *testing.T) {
 	}
 	assertHoldersAgree(t, lc)
 }
+
+// assertPlacementMatchesRing checks every live node's precomputed
+// placement table against its own ring, partition by partition.
+func assertPlacementMatchesRing(t *testing.T, lc *LocalCluster, stage string, minEpoch int64) {
+	t.Helper()
+	for _, id := range lc.IDs() {
+		n := lc.Node(id)
+		if n == nil {
+			continue
+		}
+		ms := n.members()
+		if ms.view.Epoch < minEpoch {
+			t.Fatalf("%s: node %s at epoch %d, want >= %d", stage, id, ms.view.Epoch, minEpoch)
+		}
+		for p := 0; p < n.Partitions(); p++ {
+			want := ms.ring.Owners(partKey(p), n.cfg.Replicas)
+			if got := ms.partOwners(p); !equalStrings(got, want) {
+				t.Fatalf("%s: node %s partition %d placement %v, ring says %v", stage, id, p, got, want)
+			}
+			if got := n.PartitionOwners(p); !equalStrings(got, want) {
+				t.Fatalf("%s: node %s PartitionOwners(%d) = %v, ring says %v", stage, id, p, got, want)
+			}
+		}
+	}
+}
+
+// TestPlacementTableFollowsViewSwaps: the per-view placement table is
+// rebuilt on every view change, so no node keeps routing by a stale
+// table after a join or a leave.
+func TestPlacementTableFollowsViewSwaps(t *testing.T) {
+	lc, _ := liveCluster(t, 3, t.TempDir())
+	assertPlacementMatchesRing(t, lc, "boot", 1)
+	if err := lc.Join("n3"); err != nil {
+		t.Fatal(err)
+	}
+	assertPlacementMatchesRing(t, lc, "join", 2)
+	if err := lc.Leave("n0"); err != nil {
+		t.Fatal(err)
+	}
+	assertPlacementMatchesRing(t, lc, "leave", 3)
+}
+
+// TestPartitionOwnersReturnsCopy: callers get their own slice, so
+// writing through it or appending to it cannot corrupt the shared
+// placement table.
+func TestPartitionOwnersReturnsCopy(t *testing.T) {
+	lc, _ := exactCluster(t, 3)
+	n := lc.Node("n0")
+	for p := 0; p < n.Partitions(); p++ {
+		want := n.PartitionOwners(p)
+		got := n.PartitionOwners(p)
+		got[0] = "bogus"
+		_ = append(got[:1], "bogus")
+		if again := n.PartitionOwners(p); !equalStrings(again, want) {
+			t.Fatalf("partition %d owners %v after mutating a returned slice, want %v", p, again, want)
+		}
+	}
+}

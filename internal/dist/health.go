@@ -200,3 +200,20 @@ func (h *health) available(url string) bool {
 	h.mu.Unlock()
 	return ok
 }
+
+// usable reports whether available would admit url right now, without
+// its side effects: it claims no half-open probe slot and runs no
+// /healthz probe. A peer whose quarantine or open period has run out
+// counts as usable; available decides when the call is actually made.
+// The scatter cover plans with it.
+func (h *health) usable(url string) bool {
+	now := time.Now()
+	if !h.breaker(url).peek(now) {
+		return false
+	}
+	h.mu.RLock()
+	until, suspected := h.down[url]
+	probing := h.probing[url]
+	h.mu.RUnlock()
+	return !suspected || (!probing && !now.Before(until))
+}

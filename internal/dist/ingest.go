@@ -228,7 +228,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	resp := IngestResponse{Node: n.id}
 	for _, p := range parts {
 		rows := groups[p]
-		owners := ms.ring.Owners(partKey(p), n.cfg.Replicas)
+		owners := ms.partOwners(p)
 		var pr PartIngestResult
 		psp := root.Child("part")
 		switch {
@@ -290,7 +290,7 @@ func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, hops int
 		// change retired it between the routing decision and this call.
 		// Re-resolve under the current membership and forward to the
 		// node that owns it now instead of failing the batch.
-		owners := n.members().ring.Owners(partKey(p), n.cfg.Replicas)
+		owners := n.members().partOwners(p)
 		if len(owners) > 0 && owners[0] != n.id && hops < maxIngestHops {
 			return n.forwardIngest(owners, p, rows, idemKey, hops, sp)
 		}
@@ -299,7 +299,7 @@ func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, hops int
 	}
 	mu.Lock()
 	ms := n.members()
-	owners := ms.ring.Owners(partKey(p), n.cfg.Replicas)
+	owners := ms.partOwners(p)
 	if len(owners) == 0 || owners[0] != n.id {
 		mu.Unlock()
 		if hops >= maxIngestHops {
@@ -362,7 +362,7 @@ func (n *Node) primaryIngest(p int, rows []storage.Row, idemKey string, hops int
 		// stops accepting connections between our owner snapshot and
 		// the replicate call.
 		if cur := n.members(); cur.view.Epoch > ms.view.Epoch {
-			nowners := cur.ring.Owners(partKey(p), n.cfg.Replicas)
+			nowners := cur.partOwners(p)
 			if len(nowners) > 0 && nowners[0] == n.id {
 				ms, owners = cur, nowners
 				acks = fanout(cur, nowners)
@@ -439,7 +439,7 @@ func (n *Node) forwardIngest(owners []string, p int, rows []storage.Row, idemKey
 	tried := make(map[string]bool, 2)
 	for attempt := 0; attempt < 2; attempt++ {
 		if attempt > 0 {
-			owners = n.members().ring.Owners(partKey(p), n.cfg.Replicas)
+			owners = n.members().partOwners(p)
 			if len(owners) == 0 {
 				break
 			}
@@ -763,7 +763,7 @@ func (n *Node) catchUpPartition(p int) (int, error) {
 	// itself be behind (it missed a replication too), so stopping at
 	// one donor could silently strand acked batches that another
 	// holder still has.
-	for _, holder := range ms.ring.Owners(partKey(p), n.cfg.Replicas) {
+	for _, holder := range ms.partOwners(p) {
 		if holder == n.id {
 			continue
 		}

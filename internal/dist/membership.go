@@ -71,23 +71,46 @@ func (v View) ids() []string {
 	return out
 }
 
-// memberState is a node's resolved membership: the view plus the ring
-// and URL map derived from it. It is immutable once built — readers
-// load the whole struct through one atomic pointer, so a view change
-// can never be observed half-applied.
+// memberState is a node's resolved membership: the view plus the ring,
+// URL map and data-partition placement derived from it. It is
+// immutable once built — readers load the whole struct through one
+// atomic pointer, so a view change can never be observed half-applied.
 type memberState struct {
 	view View
 	ring *Ring
 	urls map[string]string
+	// placement[p] is partition p's ring owners (primary first), resolved
+	// once per view instead of hashing the ring on every lookup. The
+	// slices are shared by every reader: partOwners hands them out
+	// full-slice-capped, and callers that reorder must copy first.
+	placement [][]string
 }
 
-// newMemberState resolves a view into a routable state.
-func newMemberState(v View, vnodes int) *memberState {
+// newMemberState resolves a view into a routable state, precomputing
+// the owners of every data partition (0..partitions-1) at the given
+// replica count.
+func newMemberState(v View, vnodes, partitions, replicas int) *memberState {
 	urls := make(map[string]string, len(v.Members))
 	for _, m := range v.Members {
 		urls[m.ID] = m.URL
 	}
-	return &memberState{view: v, ring: NewRing(vnodes, v.ids()...), urls: urls}
+	ms := &memberState{view: v, ring: NewRing(vnodes, v.ids()...), urls: urls}
+	ms.placement = make([][]string, partitions)
+	for p := range ms.placement {
+		o := ms.ring.Owners(partKey(p), replicas)
+		ms.placement[p] = o[:len(o):len(o)]
+	}
+	return ms
+}
+
+// partOwners returns partition p's owners (primary first) from the
+// precomputed placement. The slice is shared and must not be modified;
+// its capacity is capped so an append cannot scribble on it either.
+func (ms *memberState) partOwners(p int) []string {
+	if p < 0 || p >= len(ms.placement) {
+		return nil
+	}
+	return ms.placement[p]
 }
 
 // viewFromPeers derives the boot view from a static peer map (epoch 1,

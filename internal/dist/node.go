@@ -176,6 +176,9 @@ type Node struct {
 	// dist tests use them to assert the message-minimal fan-out shape.
 	partialsServed atomic.Int64
 	partialsSent   atomic.Int64
+	// coverRot rotates the scatter cover's tie-break between equally
+	// good holders, so replicas share the partial load across queries.
+	coverRot atomic.Uint64
 
 	// ingestEpoch advances for every ingest batch this node FORWARDS
 	// to a primary: the batch changes cluster data the node's own
@@ -232,7 +235,7 @@ func NewNode(cfg Config) (*Node, error) {
 		retired: make(map[int]*retiredPart),
 		idem:    make(map[string]PartIngestResult),
 	}
-	n.member.Store(newMemberState(view, cfg.VNodes))
+	n.member.Store(newMemberState(view, cfg.VNodes, cfg.Partitions, cfg.Replicas))
 	// AntiEntropy != 0 arms the tick; only > 0 runs the background
 	// loop (< 0 lets tests/experiments drive AntiEntropyTick manually;
 	// 0 disarms the tick entirely).
@@ -587,10 +590,9 @@ func (n *Node) Load(rows []storage.Row) error {
 	n.partMu = make(map[int]*sync.Mutex)
 	n.baseLen = make(map[int]int)
 	n.absorbedVer.Store(n.version) // bulk load needs no model absorb
-	ring := n.members().ring
+	ms := n.members()
 	for p := 0; p < n.cfg.Partitions; p++ {
-		owners := ring.Owners(partKey(p), n.cfg.Replicas)
-		for _, o := range owners {
+		for _, o := range ms.partOwners(p) {
 			if o == n.id {
 				n.parts[p] = nil
 				// Width is adopted from the first row to land.
@@ -1025,9 +1027,10 @@ func (n *Node) publishAbsorbed(ver int64) {
 func (n *Node) Partitions() int { return n.cfg.Partitions }
 
 // PartitionOwners returns partition p's ring owners (primary first)
-// under the current membership view.
+// under the current membership view. The result is the caller's own
+// copy of the node's placement table entry.
 func (n *Node) PartitionOwners(p int) []string {
-	return n.members().ring.Owners(partKey(p), n.cfg.Replicas)
+	return append([]string(nil), n.members().partOwners(p)...)
 }
 
 // PartLastSeq returns partition p's last applied ingest sequence (0 if

@@ -235,7 +235,7 @@ func (n *Node) orchestrate(next func(View) (View, error)) (JoinResponse, error) 
 	if err != nil {
 		return JoinResponse{}, err
 	}
-	nms := newMemberState(nv, n.cfg.VNodes)
+	nms := newMemberState(nv, n.cfg.VNodes, n.cfg.Partitions, n.cfg.Replicas)
 
 	// Diff placement per partition: every new owner that was not an old
 	// owner must stage the partition from the old owners (primary
@@ -244,8 +244,8 @@ func (n *Node) orchestrate(next func(View) (View, error)) (JoinResponse, error) 
 	gainsByNode := make(map[string][]MigratePart)
 	moved := 0
 	for p := 0; p < n.cfg.Partitions; p++ {
-		oldOwners := old.ring.Owners(partKey(p), n.cfg.Replicas)
-		newOwners := nms.ring.Owners(partKey(p), n.cfg.Replicas)
+		oldOwners := old.partOwners(p)
+		newOwners := nms.partOwners(p)
 		var donors []string
 		for _, o := range oldOwners {
 			if u := old.urls[o]; u != "" {
@@ -485,13 +485,13 @@ func (n *Node) applyView(nv View) error {
 	}
 	nv = nv.clone()
 	nv.normalize()
-	nms := newMemberState(nv, n.cfg.VNodes)
+	nms := newMemberState(nv, n.cfg.VNodes, n.cfg.Partitions, n.cfg.Replicas)
 
 	// Diff this node's holdings against the new placement.
 	var gains, losses []int
 	selfIn := nv.has(n.id)
 	for p := 0; p < n.cfg.Partitions; p++ {
-		owned := selfIn && containsStr(nms.ring.Owners(partKey(p), n.cfg.Replicas), n.id)
+		owned := selfIn && containsStr(nms.partOwners(p), n.id)
 		n.mu.RLock()
 		_, held := n.parts[p]
 		n.mu.RUnlock()
@@ -582,7 +582,7 @@ func (n *Node) takeStaged(p int, old *memberState) *stagedPart {
 		return st
 	}
 	var donors []string
-	for _, o := range old.ring.Owners(partKey(p), n.cfg.Replicas) {
+	for _, o := range old.partOwners(p) {
 		if o == n.id {
 			continue
 		}

@@ -9,7 +9,8 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -66,14 +67,18 @@ var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // exactly (COUNT/SUM) or from per-shard moments (AVG/VAR/CORR) via
 // query.MergeEval.
 //
-// The fan-out is message-minimal and bounded: missing partitions are
-// grouped by holder and fetched with ONE batched POST /v1/partials per
-// holder (not one RPC per partition), all work runs on a worker pool of
-// at most Config.GatherFanout goroutines, and a holder failure
-// re-batches just its leftover partitions onto the next replicas. Cost
-// accounting reflects the batched shape: Messages counts 2 per RPC
-// round trip, BytesLAN the actual request+response payload bytes, and
-// NodesTouched the distinct holders that contributed states.
+// The fan-out is message-minimal and bounded: a greedy set cover over
+// the usable holders picks the fewest members that together hold every
+// missing partition, and each picked holder gets ONE batched POST
+// /v1/partials carrying all the partitions assigned to it (on 3 nodes
+// with 2 replicas that is one RPC per query). Ties between equally good
+// holders rotate per query, so replicas share the load. All work runs
+// on a worker pool of at most Config.GatherFanout goroutines, and a
+// holder failure re-batches just its leftover partitions onto their
+// next replicas in ring order. Cost accounting reflects the batched
+// shape: Messages counts 2 per RPC round trip, BytesLAN the actual
+// request+response payload bytes, and NodesTouched the distinct
+// holders that contributed states.
 //
 // Resilience: a propagated deadline bounds every remote round trip and
 // refuses dead-on-arrival work; exhausted candidate lists are re-walked
@@ -158,19 +163,17 @@ func (n *Node) ScatterGatherSpan(q query.Query, sp *trace.Span) (query.Result, m
 // gatherLocal evaluates every locally-held partition on the bounded
 // worker pool and returns the partitions this node does not hold.
 func (n *Node) gatherLocal(q query.Query, results []partialResult) []int {
+	isHeld := make([]bool, len(results))
 	n.mu.RLock()
 	held := make([]int, 0, len(n.parts))
 	for p := range n.parts {
 		held = append(held, p)
-	}
-	n.mu.RUnlock()
-	isHeld := make(map[int]bool, len(held))
-	for _, p := range held {
 		isHeld[p] = true
 	}
-	var missing []int
-	for p := 0; p < n.cfg.Partitions; p++ {
-		if !isHeld[p] {
+	n.mu.RUnlock()
+	missing := make([]int, 0, len(results)-len(held))
+	for p, ok := range isHeld {
+		if !ok {
 			missing = append(missing, p)
 		}
 	}
@@ -183,47 +186,79 @@ func (n *Node) gatherLocal(q query.Query, results []partialResult) []int {
 	return missing
 }
 
-// gatherRemote resolves the missing partitions: each round groups the
-// still-unresolved partitions by their next untried ring holder, issues
-// one batched /v1/partials RPC per holder on the bounded pool, and
-// re-batches whatever a holder failed to deliver (transport error, or a
-// per-partition "not held" entry) onto the next replicas. A partition
-// whose candidates are all exhausted re-walks them under the per-query
-// retry budget (exponential backoff + jitter, deadline-clamped); once
-// the budget too is spent the partition is abandoned — left nil in
-// results for the caller to degrade over — rather than failing the
-// whole query. It returns the total wire bytes moved, the RPC round
-// trips issued, and the last error when any partition was abandoned.
-// Under a trace each holder round trip gets a partial_rpc child span
-// carrying the holder's returned span tree.
+// rpcOut is one batched partials round trip of a gatherRemote round:
+// the holder, the partitions asked of it, and what came back.
+type rpcOut struct {
+	holder string
+	parts  []int
+	resp   []PartPartial
+	bytes  int64
+	err    error
+}
+
+// addToBatch appends partition p to holder h's batch, opening the batch
+// if this round has none for h yet.
+func addToBatch(outs []rpcOut, h string, p int) []rpcOut {
+	for i := range outs {
+		if outs[i].holder == h {
+			outs[i].parts = append(outs[i].parts, p)
+			return outs
+		}
+	}
+	return append(outs, rpcOut{holder: h, parts: []int{p}})
+}
+
+// gatherRemote resolves the missing partitions: the first round asks
+// the holders a greedy set cover picked (coverFirstRound), each round
+// groups the still-unresolved partitions by their next untried
+// candidate, issues one batched /v1/partials RPC per holder on the
+// bounded pool, and re-batches whatever a holder failed to deliver
+// (transport error, or a per-partition "not held" entry) onto the next
+// replicas. A partition whose candidates are all exhausted re-walks
+// them under the per-query retry budget (exponential backoff + jitter,
+// deadline-clamped); once the budget too is spent the partition is
+// abandoned — left nil in results for the caller to degrade over —
+// rather than failing the whole query. It returns the total wire bytes
+// moved, the RPC round trips issued, and the last error when any
+// partition was abandoned. Under a trace each holder round trip gets a
+// partial_rpc child span carrying the holder's returned span tree.
 func (n *Node) gatherRemote(q query.Query, missing []int, results []partialResult, sp *trace.Span) (int64, int, error) {
 	wire := queryToWire(q, "")
 	dlMS := deadlineMS(q.Deadline)
 	// Per-partition remote holder candidates in ring order, consumed by
-	// a cursor as failovers advance.
-	cand := make(map[int][]string, len(missing))
-	next := make(map[int]int, len(missing))
+	// a cursor as failovers advance. They are copied out of the shared
+	// placement table into one backing array, because the cover
+	// reorders them.
 	ms := n.members()
+	cand := make([][]string, len(results))
+	next := make([]int, len(results))
+	flat := make([]string, 0, len(missing)*n.cfg.Replicas)
 	for _, p := range missing {
-		for _, h := range ms.ring.Owners(partKey(p), n.cfg.Replicas) {
+		start := len(flat)
+		for _, h := range ms.partOwners(p) {
 			if h != n.id {
-				cand[p] = append(cand[p], h)
+				flat = append(flat, h)
 			}
 		}
+		cand[p] = flat[start:len(flat):len(flat)]
 	}
+	n.coverFirstRound(ms, missing, cand)
 
 	var bytesMoved int64
 	var rpcs int
 	var lastErr error
 	budget := n.cfg.RetryBudget
 	backoff := n.cfg.RetryBackoff
+	// asked[p] is set while partition p sits in a batch whose response
+	// is being read, and cleared as soon as one entry resolves it.
+	asked := make([]bool, len(results))
 	unresolved := append([]int(nil), missing...)
 	for len(unresolved) > 0 {
-		groups := make(map[string][]int)
+		var outs []rpcOut
 		var exhausted, abandoned []int
 		for _, p := range unresolved {
 			if holder := n.nextHolder(cand[p], next, p); holder != "" {
-				groups[holder] = append(groups[holder], p)
+				outs = addToBatch(outs, holder, p)
 			} else {
 				exhausted = append(exhausted, p)
 			}
@@ -243,7 +278,7 @@ func (n *Node) gatherRemote(q query.Query, missing []int, results []partialResul
 				for _, p := range exhausted {
 					next[p] = 0
 					if holder := n.nextHolder(cand[p], next, p); holder != "" {
-						groups[holder] = append(groups[holder], p)
+						outs = addToBatch(outs, holder, p)
 					} else {
 						abandoned = append(abandoned, p)
 					}
@@ -256,19 +291,10 @@ func (n *Node) gatherRemote(q query.Query, missing []int, results []partialResul
 			}
 		}
 
-		type rpcOut struct {
-			holder string
-			parts  []int
-			resp   []PartPartial
-			bytes  int64
-			err    error
+		for i := range outs {
+			slices.Sort(outs[i].parts)
 		}
-		outs := make([]rpcOut, 0, len(groups))
-		for h, ps := range groups {
-			sort.Ints(ps)
-			outs = append(outs, rpcOut{holder: h, parts: ps})
-		}
-		sort.Slice(outs, func(i, j int) bool { return outs[i].holder < outs[j].holder })
+		slices.SortFunc(outs, func(a, b rpcOut) int { return strings.Compare(a.holder, b.holder) })
 		runBounded(n.cfg.GatherFanout, len(outs), func(i int) {
 			o := &outs[i]
 			url := ms.urls[o.holder]
@@ -289,7 +315,8 @@ func (n *Node) gatherRemote(q query.Query, missing []int, results []partialResul
 		})
 
 		unresolved = unresolved[:0]
-		for _, o := range outs {
+		for i := range outs {
+			o := &outs[i]
 			if o.err != nil {
 				lastErr = o.err
 				unresolved = append(unresolved, o.parts...)
@@ -297,35 +324,107 @@ func (n *Node) gatherRemote(q query.Query, missing []int, results []partialResul
 			}
 			rpcs++
 			bytesMoved += o.bytes
-			got := make(map[int]bool, len(o.resp))
+			for _, p := range o.parts {
+				asked[p] = true
+			}
+			// Accept only partitions this batch asked for, once each: an
+			// extra or duplicate entry must not overwrite a partition
+			// resolved locally or by another holder.
 			for _, e := range o.resp {
-				if e.Error != "" || e.Partial == nil {
+				if e.Error != "" || e.Partial == nil || e.Part < 0 || e.Part >= len(results) || !asked[e.Part] {
 					continue
 				}
-				if e.Part < 0 || e.Part >= len(results) {
-					continue
-				}
-				got[e.Part] = true
+				asked[e.Part] = false
 				results[e.Part] = partialResult{
 					partial: e.Partial, rows: e.Rows, holder: o.holder,
 				}
 			}
 			for _, p := range o.parts {
-				if !got[p] {
+				if asked[p] {
+					asked[p] = false
 					unresolved = append(unresolved, p)
 				}
 			}
 		}
-		if len(abandoned) > 0 && len(unresolved) == 0 && len(groups) == 0 {
+		if len(abandoned) > 0 && len(unresolved) == 0 && len(outs) == 0 {
 			break // nothing left but abandoned partitions
 		}
 	}
 	return bytesMoved, rpcs, lastErr
 }
 
+// coverFirstRound reorders the missing partitions' candidate lists so
+// the first round asks as few holders as possible: greedyCover over the
+// usable holders (health + breaker). Ties start from a per-node
+// rotating offset, so equally good replicas share the load across
+// queries.
+func (n *Node) coverFirstRound(ms *memberState, missing []int, cand [][]string) {
+	var buf [8]string
+	holders := buf[:0]
+	for _, m := range ms.view.Members {
+		if m.ID != n.id && m.URL != "" && n.health.usable(m.URL) {
+			holders = append(holders, m.ID)
+		}
+	}
+	if len(holders) > 0 {
+		greedyCover(missing, cand, holders, int(n.coverRot.Add(1)%uint64(len(holders))))
+	}
+}
+
+// greedyCover is a greedy set cover of the missing partitions by the
+// given holders: it repeatedly picks the holder that is a candidate of
+// the most still-uncovered partitions and moves it to the front of
+// each such partition's candidate list. The other candidates keep
+// their order, so failover walks them as before. Among equally good
+// holders the first from offset rot wins. Partitions with no candidate
+// among holders keep their order. It returns the number of holders
+// picked.
+func greedyCover(missing []int, cand [][]string, holders []string, rot int) int {
+	covered := make([]bool, len(missing))
+	picked := 0
+	for left := len(missing); left > 0; picked++ {
+		best, bestN := "", 0
+		for i := range holders {
+			h := holders[(rot+i)%len(holders)]
+			cnt := 0
+			for j, p := range missing {
+				if !covered[j] && containsStr(cand[p], h) {
+					cnt++
+				}
+			}
+			if cnt > bestN {
+				best, bestN = h, cnt
+			}
+		}
+		if bestN == 0 {
+			break // the rest have no candidate among holders
+		}
+		for j, p := range missing {
+			if !covered[j] && moveToFront(cand[p], best) {
+				covered[j] = true
+				left--
+			}
+		}
+	}
+	return picked
+}
+
+// moveToFront moves h to the front of c, shifting the candidates ahead
+// of it back by one; it reports whether c holds h.
+func moveToFront(c []string, h string) bool {
+	for i, x := range c {
+		if x == h {
+			copy(c[1:i+1], c[:i])
+			c[0] = h
+			return true
+		}
+	}
+	return false
+}
+
 // nextHolder advances partition p's candidate cursor to the next
 // available holder (health + breaker) and returns it ("" = exhausted).
-func (n *Node) nextHolder(cands []string, next map[int]int, p int) string {
+func (n *Node) nextHolder(cands []string, next []int, p int) string {
 	urls := n.members().urls
 	for next[p] < len(cands) {
 		h := cands[next[p]]
@@ -342,7 +441,7 @@ func (n *Node) nextHolder(cands []string, next map[int]int, p int) string {
 // still-untried available candidate of any partition in the batch that
 // is not the primary holder. Cursors are NOT advanced — if the primary
 // answers first the candidate stays fresh for real failovers.
-func (n *Node) hedgeCandidate(parts []int, cand map[int][]string, next map[int]int, primary string) string {
+func (n *Node) hedgeCandidate(parts []int, cand [][]string, next []int, primary string) string {
 	if n.hedgeDelay() <= 0 {
 		return ""
 	}

@@ -162,11 +162,11 @@ func (n *Node) NodeStatus() NodeStatus {
 	}
 	sort.Ints(parts)
 	for _, p := range parts {
-		owners := ms.ring.Owners(partKey(p), n.cfg.Replicas)
+		owners := ms.partOwners(p)
 		ps := PartitionStatus{
 			Part:    p,
 			Role:    "replica",
-			Owners:  owners,
+			Owners:  append([]string(nil), owners...),
 			Rows:    len(n.parts[p]),
 			LastSeq: n.lastSeq[p],
 		}
