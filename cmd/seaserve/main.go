@@ -1,13 +1,16 @@
-// Command seaserve runs the SEA serving layer: it loads a synthetic
-// clustered table, trains one or more SEA agents on a mixed analyst
-// query stream, and serves the agent API over HTTP/JSON.
+// Command seaserve runs one node of the SEA serving cluster
+// (internal/dist): it loads a synthetic clustered table, keeps the data
+// partitions the ring assigns it, trains its SEA agents, and serves the
+// agent API over HTTP/JSON.
 //
-// Single-node mode (the default) serves internal/serve:
+// Without -peers the node is a one-member cluster: it holds every
+// partition, answers exact queries from its own data, and pretrains
+// its agents on a mixed analyst stream before it listens:
 //
-//	seaserve [-addr :8080] [-rows 20000] [-nodes 8] [-training 300]
-//	         [-agents 1] [-workers 8] [-queue 256] [-tenant-inflight 64]
+//	seaserve [-addr :8080] [-rows 20000] [-training 300] [-agents 1]
+//	         [-workers 8] [-queue 256] [-tenant-inflight 64]
 //
-// Cluster mode joins a distributed serving cluster (internal/dist): a
+// With -peers the node joins a distributed serving cluster: a
 // consistent-hash ring shards the query space across the members with
 // R-way replication, exact answers scatter-gather across the data
 // partitions, and replicas warm up by model-snapshot shipping. Every
@@ -42,61 +45,66 @@
 // primary and heal silent divergence by snapshot ship (repairs export
 // as sea_antientropy_repairs_total and surface in /v1/debug/cluster).
 //
-// Cluster mode is also a live system: -data-dir enables the WAL-durable
+// Every node is also a live system: -data-dir enables the WAL-durable
 // write path (POST /v1/ingest appends replicated, quorum-acked row
 // batches; a restarted member replays its WAL and catches up the log
 // tail from peers), -write-quorum sets the ack threshold, and
 // -drift-budget/-requant-check tune the drift-aware online model
 // maintenance.
 //
-// Observability (both modes): -trace-sample traces a fraction of
-// queries into span trees (POST /v1/query?trace=1 forces one inline),
-// -trace-ring bounds the debug ring behind GET /v1/debug/trace/<id>,
-// -slow-query logs outliers to GET /v1/debug/slow, and -audit-sample
-// shadow-audits model answers against exact ground truth (error
-// histograms land in /v1/metrics).
+// Observability: -trace-sample traces a fraction of queries into span
+// trees (POST /v1/query?trace=1 forces one inline), -trace-ring bounds
+// the debug ring behind GET /v1/debug/trace/<id>, -slow-query logs
+// outliers to GET /v1/debug/slow, and -audit-sample shadow-audits model
+// answers against exact ground truth (error histograms land in
+// /v1/metrics).
 //
-// The introspection plane (both modes): -log-level selects the leveled
-// JSON-line logging on stderr (debug|info|warn|error|off) and -log-rate
-// caps its lines/sec (token bucket; suppressed lines are counted, the
-// hot path pays one atomic load). -slo-latency arms the per-tenant-class
-// SLO engine: multi-window burn rates against that p99 objective export
-// as sea_slo_burn_rate / sea_slo_state in /v1/metrics. -runtime-sample
+// The introspection plane: -log-level selects the leveled JSON-line
+// logging on stderr (debug|info|warn|error|off) and -log-rate caps its
+// lines/sec (token bucket; suppressed lines are counted, the hot path
+// pays one atomic load). -slo-latency arms the per-tenant-class SLO
+// engine: multi-window burn rates against that p99 objective export as
+// sea_slo_burn_rate / sea_slo_state in /v1/metrics. -runtime-sample
 // sets the background runtime-telemetry period (heap, GC pauses,
 // goroutines; sea_go_* gauges). -pprof mounts Go's net/http/pprof
 // handlers under /debug/pprof/ — off by default, enable only on
-// trusted networks. Cluster mode adds GET /v1/status (this member's
-// introspection snapshot: ring, per-partition replication lag, cache,
-// scheduler, SLO, runtime) and GET /v1/debug/cluster (fan-out to every
-// peer with cross-checked health findings; -lag-threshold tunes when a
+// trusted networks. GET /v1/status is this member's introspection
+// snapshot (ring, per-partition replication lag, cache, scheduler,
+// SLO, runtime) and GET /v1/debug/cluster fans it out to every peer
+// with cross-checked health findings (-lag-threshold tunes when a
 // lagging replica turns critical). cmd/seatop renders that aggregator
 // as a live dashboard.
 //
-// The flight recorder (both modes): -flight samples every registered
-// counter, gauge and key histogram quantile into in-memory ring
-// buffers at two resolutions (~10 min at 1 s, ~6 h at 30 s) behind
+// The flight recorder: -flight samples every registered counter, gauge
+// and key histogram quantile into in-memory ring buffers at two
+// resolutions (~10 min at 1 s, ~6 h at 30 s) behind
 // GET /v1/history?metric=&window=, and captures diagnostic bundles
 // (goroutine dump, short CPU + heap profiles, trace rings, status
 // snapshot) into a bounded spool (-flight-spool) when the SLO engine
 // turns critical or -anomaly's robust z-score detector fires; browse
 // them via GET /v1/debug/bundles and /v1/debug/bundle/<id>/<file>.
 //
-// Endpoints (both modes):
+// Endpoints:
 //
 //	POST /v1/query    {"agg":"count","los":[20,20],"his":[30,30]}
+//	POST /v1/explain  same body; piecewise-linear answer explanation
+//	GET  /v1/stats    agent + serving counters (alias of /v1/cluster)
 //	GET  /v1/metrics  Prometheus text (QPS, per-path latency histograms,
 //	                  ingest/drift gauges, audit error histograms,
 //	                  SLO burn rates, runtime telemetry)
 //	GET  /healthz     liveness (also used by failover probing)
 //
-// Single-node adds POST /v1/explain and GET /v1/stats; cluster mode adds
-// POST /v1/ingest, /v1/replicate, /v1/walfetch, /v1/partial, /v1/join,
-// /v1/leave, /v1/digest, GET /v1/snapshot, /v1/cluster, /v1/membership,
-// /v1/status and /v1/debug/cluster.
+// plus POST /v1/ingest, /v1/replicate, /v1/walfetch, /v1/partials,
+// /v1/join, /v1/leave, /v1/digest, GET /v1/snapshot, /v1/cluster,
+// /v1/membership, /v1/status and /v1/debug/cluster.
+//
+// On a lone node, the cost reported with each answer is the node's own
+// rows read and bytes moved; the paper's simulated cluster cost model
+// lives in internal/cluster, sea.System and the experiments.
 //
 // Flag combinations are validated at startup (replication factor vs
-// cluster size, quorum vs replicas, cluster-only flags in single-node
-// mode) and fail fast with a clear error instead of degrading silently.
+// cluster size, quorum vs replicas, -join vs -peers) and fail fast with
+// a clear error instead of degrading silently.
 //
 // The process traps SIGINT/SIGTERM and shuts down gracefully: the
 // listener stops accepting, in-flight queries drain (up to -drain), and
@@ -114,7 +122,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strings"
 	"syscall"
@@ -122,20 +129,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/flight"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/serve"
 	"repro/internal/workload"
-	"repro/sea"
 )
 
 // options is the parsed and validated flag set.
 type options struct {
 	addr           string
 	rows           int
-	nodes          int
 	training       int
 	agents         int
 	workers        int
@@ -169,18 +173,12 @@ type options struct {
 	flight         bool
 	flightSpool    string
 	anomaly        bool
-	// set records which flags were given explicitly (flag.Visit):
-	// cluster-only flags with non-zero defaults (-replicas,
-	// -requant-check) can only be rejected in single-node mode when we
-	// know the user actually set them.
-	set map[string]bool
 }
 
 func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&o.rows, "rows", 20_000, "synthetic rows to load")
-	flag.IntVar(&o.nodes, "nodes", 8, "simulated cluster size (single-node mode)")
 	flag.IntVar(&o.training, "training", 300, "training queries per agent")
 	flag.IntVar(&o.agents, "agents", 1, "agent pool size (affinity-sharded)")
 	flag.IntVar(&o.workers, "workers", 8, "serving worker goroutines")
@@ -190,17 +188,17 @@ func main() {
 	flag.IntVar(&o.answerCache, "answer-cache", dist.DefaultAnswerCache,
 		"versioned answer-cache capacity in entries (0 disables)")
 	flag.DurationVar(&o.drain, "drain", 10*time.Second, "graceful-shutdown drain deadline")
-	flag.StringVar(&o.nodeID, "node-id", "", "cluster member id (enables cluster mode)")
-	flag.StringVar(&o.peerList, "peers", "", "cluster members as id=url,id=url,... (cluster mode)")
-	flag.IntVar(&o.replicas, "replicas", dist.DefaultReplicas, "replication factor (cluster mode)")
-	flag.StringVar(&o.warmFrom, "warm-from", "", "peer URL to import agent snapshots from at start (cluster mode)")
-	flag.StringVar(&o.join, "join", "", "live member URL to join a running cluster through (cluster mode; replaces -peers)")
+	flag.StringVar(&o.nodeID, "node-id", "", `member id (required with -peers or -join; default "local")`)
+	flag.StringVar(&o.peerList, "peers", "", "cluster members as id=url,id=url,... (empty = a one-member cluster)")
+	flag.IntVar(&o.replicas, "replicas", 0, "replication factor (0 = the smaller of 2 and the member count)")
+	flag.StringVar(&o.warmFrom, "warm-from", "", "peer URL to import agent snapshots from at start")
+	flag.StringVar(&o.join, "join", "", "live member URL to join a running cluster through (replaces -peers)")
 	flag.StringVar(&o.advertise, "advertise", "", "this member's externally reachable URL (required with -join)")
-	flag.DurationVar(&o.antiEntropy, "anti-entropy", 0, "background replica-repair cadence (cluster mode; 0 disables)")
-	flag.StringVar(&o.dataDir, "data-dir", "", "WAL directory for the live write path (cluster mode; empty = no durability)")
-	flag.IntVar(&o.writeQuorum, "write-quorum", 0, "owners that must apply an ingest batch before ack (cluster mode; 0 = majority of -replicas)")
+	flag.DurationVar(&o.antiEntropy, "anti-entropy", 0, "background replica-repair cadence (0 disables)")
+	flag.StringVar(&o.dataDir, "data-dir", "", "WAL directory for the live write path (empty = no durability)")
+	flag.IntVar(&o.writeQuorum, "write-quorum", 0, "owners that must apply an ingest batch before ack (0 = majority of -replicas)")
 	flag.IntVar(&o.driftBudget, "drift-budget", 200, "ingested rows a quantum absorbs before its models re-earn trust (0 = legacy wholesale invalidation)")
-	flag.DurationVar(&o.requantCheck, "requant-check", 2*time.Second, "background drift-maintainer poll period (cluster mode; 0 disables re-quantisation)")
+	flag.DurationVar(&o.requantCheck, "requant-check", 2*time.Second, "background drift-maintainer poll period (0 disables re-quantisation)")
 	flag.Float64Var(&o.traceSample, "trace-sample", 0, "fraction of queries to trace (0 disables sampling; ?trace=1 always works)")
 	flag.IntVar(&o.traceRing, "trace-ring", 0, "finished traces kept for /v1/debug/trace (0 = default ring)")
 	flag.DurationVar(&o.slowQuery, "slow-query", 0, "log queries slower than this to /v1/debug/slow (0 disables)")
@@ -209,14 +207,12 @@ func main() {
 	flag.Float64Var(&o.logRate, "log-rate", 0, "max structured log lines/sec (token bucket; 0 = unlimited)")
 	flag.DurationVar(&o.sloLatency, "slo-latency", 0, "per-tenant-class p99 latency objective; arms SLO burn-rate tracking (0 disables)")
 	flag.DurationVar(&o.runtimeSample, "runtime-sample", 10*time.Second, "runtime telemetry sampling period (0 = on-demand only)")
-	flag.Uint64Var(&o.lagThreshold, "lag-threshold", 0, "replication lag in batches before a /v1/debug/cluster finding turns critical (cluster mode; 0 = default 1)")
+	flag.Uint64Var(&o.lagThreshold, "lag-threshold", 0, "replication lag in batches before a /v1/debug/cluster finding turns critical (0 = default 1)")
 	flag.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default; trusted networks only)")
 	flag.BoolVar(&o.flight, "flight", false, "arm the flight recorder: in-memory metric history behind GET /v1/history plus triggered diagnostic bundles")
 	flag.StringVar(&o.flightSpool, "flight-spool", "", "diagnostic-bundle spool directory (default: under the OS temp dir; requires -flight)")
 	flag.BoolVar(&o.anomaly, "anomaly", false, "arm robust z-score anomaly detection over watched flight series (requires -flight)")
 	flag.Parse()
-	o.set = make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
 
 	if err := o.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "seaserve:", err)
@@ -226,13 +222,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var err error
-	if o.nodeID != "" {
-		err = runCluster(ctx, o)
-	} else {
-		err = runSingle(ctx, o)
-	}
-	if err != nil {
+	if err := run(ctx, o); err != nil {
 		fmt.Fprintln(os.Stderr, "seaserve:", err)
 		os.Exit(1)
 	}
@@ -240,13 +230,11 @@ func main() {
 
 // validate fails fast on flag combinations that would otherwise degrade
 // silently (a replication factor the cluster cannot honour, warm-up
-// with nobody to warm from, durability flags outside cluster mode).
+// with nobody to warm from) and resolves the defaults that depend on
+// the membership (node id, replication factor).
 func (o *options) validate() error {
 	if o.rows < 1 {
 		return fmt.Errorf("-rows must be >= 1, got %d", o.rows)
-	}
-	if o.nodes < 1 {
-		return fmt.Errorf("-nodes must be >= 1, got %d", o.nodes)
 	}
 	if o.training < 0 {
 		return fmt.Errorf("-training must be >= 0, got %d", o.training)
@@ -293,32 +281,14 @@ func (o *options) validate() error {
 		}
 	}
 
-	cluster := o.nodeID != ""
-	if !cluster {
-		// Single-node mode: reject cluster-only flags instead of
-		// silently ignoring them. Flags with non-zero defaults
-		// (-replicas, -requant-check) count only when explicitly set.
-		for flagName, set := range map[string]bool{
-			"-peers":         o.peerList != "",
-			"-warm-from":     o.warmFrom != "",
-			"-data-dir":      o.dataDir != "",
-			"-write-quorum":  o.writeQuorum != 0,
-			"-replicas":      o.set["replicas"],
-			"-requant-check": o.set["requant-check"],
-			"-lag-threshold": o.lagThreshold != 0,
-			"-join":          o.join != "",
-			"-advertise":     o.advertise != "",
-			"-anti-entropy":  o.antiEntropy != 0,
-		} {
-			if set {
-				return fmt.Errorf("%s requires cluster mode (set -node-id)", flagName)
-			}
-		}
-		return nil
-	}
-
 	if o.antiEntropy < 0 {
 		return fmt.Errorf("-anti-entropy must be >= 0, got %v", o.antiEntropy)
+	}
+	if o.nodeID == "" {
+		if o.peerList != "" || o.join != "" {
+			return fmt.Errorf("-peers and -join require -node-id")
+		}
+		o.nodeID = "local"
 	}
 	if o.join != "" {
 		// Elastic join: the cluster's shape (partition count, replicas,
@@ -330,7 +300,7 @@ func (o *options) validate() error {
 		if o.peerList != "" {
 			return fmt.Errorf("-join and -peers are mutually exclusive: the membership view comes from the seed")
 		}
-		if o.set["replicas"] {
+		if o.replicas != 0 {
 			return fmt.Errorf("-replicas comes from the seed's view with -join")
 		}
 		if o.warmFrom != "" {
@@ -345,29 +315,36 @@ func (o *options) validate() error {
 	if o.advertise != "" {
 		return fmt.Errorf("-advertise requires -join")
 	}
-	peers, err := parsePeers(o.peerList)
-	if err != nil {
-		return err
+	// Without -peers the node is a one-member cluster.
+	o.peers = map[string]string{o.nodeID: ""}
+	if o.peerList != "" {
+		peers, err := parsePeers(o.peerList)
+		if err != nil {
+			return err
+		}
+		if _, ok := peers[o.nodeID]; !ok {
+			return fmt.Errorf("-node-id %q is not listed in -peers (members: %s)",
+				o.nodeID, strings.Join(peerIDs(peers), ", "))
+		}
+		o.peers = peers
 	}
-	o.peers = peers
-	if _, ok := peers[o.nodeID]; !ok {
-		return fmt.Errorf("-node-id %q is not listed in -peers (members: %s)",
-			o.nodeID, strings.Join(peerIDs(peers), ", "))
+	if o.replicas == 0 {
+		o.replicas = min(dist.DefaultReplicas, len(o.peers))
 	}
 	if o.replicas < 1 {
 		return fmt.Errorf("-replicas must be >= 1, got %d", o.replicas)
 	}
-	if o.replicas > len(peers) {
-		return fmt.Errorf("-replicas %d exceeds the cluster size %d", o.replicas, len(peers))
+	if o.replicas > len(o.peers) {
+		return fmt.Errorf("-replicas %d exceeds the cluster size %d", o.replicas, len(o.peers))
 	}
 	if o.writeQuorum < 0 || o.writeQuorum > o.replicas {
 		return fmt.Errorf("-write-quorum must be in [0, -replicas=%d], got %d", o.replicas, o.writeQuorum)
 	}
 	if o.warmFrom != "" {
-		if len(peers) < 2 {
+		if len(o.peers) < 2 {
 			return fmt.Errorf("-warm-from needs at least one peer besides this node")
 		}
-		if o.warmFrom == peers[o.nodeID] {
+		if o.warmFrom == o.peers[o.nodeID] {
 			return fmt.Errorf("-warm-from %q is this node's own URL", o.warmFrom)
 		}
 	}
@@ -397,94 +374,47 @@ func newLogger(o options) *obs.Logger {
 	return lg
 }
 
-func runSingle(ctx context.Context, o options) error {
+// run boots the node and serves it until ctx is cancelled.
+func run(ctx context.Context, o options) error {
 	lg := newLogger(o)
-	sys, err := sea.NewSystem(sea.SystemConfig{Nodes: o.nodes, Columns: []string{"x", "y", "z"}})
+	node, err := newNode(o, lg)
 	if err != nil {
 		return err
-	}
-	if err := sys.Load(workload.StandardRows(o.rows, o.seed)); err != nil {
-		return err
-	}
-	lg.Info("loaded", "rows", sys.Rows(), "nodes", o.nodes)
-
-	pool := make([]*sea.Agent, o.agents)
-	for i := range pool {
-		ag, err := sys.NewAgent(sea.AgentConfig{
-			Dims: 2, TrainingQueries: o.training, UseMapReduceOracle: true,
-			DriftRowBudget: o.driftBudget,
-		})
-		if err != nil {
-			return err
-		}
-		if err := pretrain(ag, o.training, o.seed+int64(i)); err != nil {
-			return err
-		}
-		st := ag.Stats()
-		lg.Info("agent trained", "agent", i, "queries", st.Queries, "quanta", st.Quanta)
-		pool[i] = ag
-	}
-
-	srv, err := sea.NewServer(pool, sea.ServeOptions{
-		Workers:        o.workers,
-		QueueDepth:     o.queue,
-		TenantInflight: o.tenantInflight,
-		AnswerCache:    o.answerCache,
-		TraceSample:    o.traceSample,
-		TraceRing:      o.traceRing,
-		SlowQuery:      o.slowQuery,
-		AuditSample:    o.auditSample,
-	})
-	if err != nil {
-		return err
-	}
-	// Introspection plane: slow-query logging on the serving pool, SLO
-	// burn-rate tracking, runtime telemetry, optional pprof.
-	servePool := srv.Scheduler().Pool()
-	servePool.SetLogger(lg)
-	rec := servePool.Recorder()
-	if o.sloLatency > 0 {
-		slo := metrics.NewSLOEngine(rec, metrics.SLOConfig{LatencyObjective: o.sloLatency})
-		slo.Start()
-		defer slo.Stop()
-		rec.SetSLO(slo)
-	}
-	sampler := obs.NewRuntimeSampler(o.runtimeSample)
-	sampler.Register(rec)
-	if o.runtimeSample > 0 {
-		sampler.Start()
-		defer sampler.Stop()
 	}
 	if o.pprof {
-		srv.EnablePprof()
 		lg.Warn("pprof endpoints mounted under /debug/pprof/ — do not expose publicly")
 	}
-	if o.flight {
-		spool := o.flightSpool
-		if spool == "" {
-			spool = filepath.Join(os.TempDir(), "sea-flight", "local")
-		}
-		fr := flight.New(flight.Config{
-			Node: "local", SpoolDir: spool, Anomaly: o.anomaly, Logger: lg,
-			TracerFn: servePool.Tracer,
-			StatusFn: func() any { return servePool.Stats() },
-		})
-		fr.Instrument(rec)
-		fr.AddGauge("sched_queue_depth", func() float64 { return float64(srv.Scheduler().QueueDepth()) })
-		fr.Watch("lat_p99_all", "queries", "errors", "rejected",
-			"sea_go_goroutines", "sea_go_heap_alloc_bytes")
-		srv.EnableFlight(fr)
-		fr.Start()
-		defer fr.Stop()
-		lg.Info("flight recorder armed", "spool", spool, "anomaly", o.anomaly)
+	lg.Info("serving", "node", o.nodeID, "addr", o.addr)
+	runCtx := ctx
+	if o.join != "" {
+		// The seed stages partitions onto us over HTTP, so we must be
+		// listening BEFORE the join RPC: wait for our own /healthz to
+		// answer through the advertised URL, then ask the seed to
+		// orchestrate. A failed join cancels the serve loop — a member
+		// that never joined has nothing to serve.
+		var cancel context.CancelCauseFunc
+		runCtx, cancel = context.WithCancelCause(ctx)
+		go func() {
+			if err := joinCluster(o, lg); err != nil {
+				cancel(err)
+			}
+		}()
 	}
-	lg.Info("serving", "addr", o.addr, "agents", o.agents, "workers", o.workers,
-		"queue", o.queue, "tenant_inflight", o.tenantInflight)
-	return srv.Run(ctx, o.addr, o.drain)
+	context.AfterFunc(runCtx, func() { lg.Info("shutting down", "drain", o.drain) })
+	err = serve.RunHTTP(runCtx, o.addr, node.Handler(), o.drain, node.Close)
+	if cause := context.Cause(runCtx); cause != nil && !errors.Is(cause, context.Canceled) {
+		return cause
+	}
+	return err
 }
 
-func runCluster(ctx context.Context, o options) error {
-	lg := newLogger(o)
+// newNode builds this process's node from validated options, loads its
+// partitions and readies its agents: WAL log-tail catch-up and model
+// warm-up from a peer when configured, and, when the boot view has no
+// other member, pretraining on the mixed analyst stream. Only then are
+// all partitions local, so no training query can reach a peer that is
+// not up yet. The caller serves node.Handler() and closes the node.
+func newNode(o options, lg *obs.Logger) (*dist.Node, error) {
 	agentCfg := core.DefaultConfig(2)
 	agentCfg.TrainingQueries = o.training
 	agentCfg.DriftRowBudget = o.driftBudget
@@ -523,10 +453,10 @@ func runCluster(ctx context.Context, o options) error {
 		// Boot from the seed's live view: partition count, replicas and
 		// vnodes come from the cluster, so the joiner cannot disagree
 		// with it. The joiner is not in that view yet — it holds nothing
-		// until the seed orchestrates the join below.
+		// until the seed orchestrates the join.
 		mr, err := dist.FetchMembership(o.join, 0)
 		if err != nil {
-			return fmt.Errorf("join: fetching membership from %s: %w", o.join, err)
+			return nil, fmt.Errorf("join: fetching membership from %s: %w", o.join, err)
 		}
 		cfg.InitialView = &mr.View
 		cfg.Partitions = mr.Partitions
@@ -538,13 +468,17 @@ func runCluster(ctx context.Context, o options) error {
 	}
 	node, err := dist.NewNode(cfg)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	fail := func(err error) (*dist.Node, error) {
+		node.Close()
+		return nil, err
 	}
 	if err := node.Load(workload.StandardRows(o.rows, o.seed)); err != nil {
-		return err
+		return fail(err)
 	}
 	st := node.Status()
-	lg.Info("cluster member up",
+	lg.Info("node up",
 		"node", o.nodeID, "partitions_held", len(st.PartitionsHeld),
 		"partitions_total", st.PartitionsTotal, "rows", st.RowsHeld,
 		"members", len(st.Members), "replicas", st.Replicas,
@@ -566,32 +500,19 @@ func runCluster(ctx context.Context, o options) error {
 			lg.Info("warmed up", "donor", o.warmFrom, "snapshot_bytes", shipped)
 		}
 	}
-	if o.pprof {
-		lg.Warn("pprof endpoints mounted under /debug/pprof/ — do not expose publicly")
+	if o.join != "" || len(o.peers) > 1 {
+		return node, nil
 	}
-
-	lg.Info("serving", "node", o.nodeID, "addr", o.addr)
-	runCtx := ctx
-	if o.join != "" {
-		// The seed stages partitions onto us over HTTP, so we must be
-		// listening BEFORE the join RPC: wait for our own /healthz to
-		// answer through the advertised URL, then ask the seed to
-		// orchestrate. A failed join cancels the serve loop — a member
-		// that never joined has nothing to serve.
-		var cancel context.CancelCauseFunc
-		runCtx, cancel = context.WithCancelCause(ctx)
-		go func() {
-			if err := joinCluster(o, lg); err != nil {
-				cancel(err)
-			}
-		}()
+	// Pretrain the agents directly, not through the pool, so the serving
+	// counters still start at zero.
+	for i, ag := range node.Pool().Agents() {
+		if err := pretrain(ag, o.training, o.seed+int64(i)); err != nil {
+			return fail(err)
+		}
+		st := ag.Stats()
+		lg.Info("agent trained", "agent", i, "queries", st.Queries, "quanta", st.Quanta)
 	}
-	context.AfterFunc(runCtx, func() { lg.Info("shutting down", "drain", o.drain) })
-	err = serve.RunHTTP(runCtx, o.addr, node.Handler(), o.drain, node.Close)
-	if cause := context.Cause(runCtx); cause != nil && !errors.Is(cause, context.Canceled) {
-		return cause
-	}
-	return err
+	return node, nil
 }
 
 // joinCluster waits for this member's own /healthz to answer at the
@@ -666,7 +587,7 @@ func parsePeers(s string) (map[string]string, error) {
 		out[id] = url
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("cluster mode needs -peers id=url,...")
+		return nil, fmt.Errorf("-peers lists no members (want id=url,...)")
 	}
 	return out, nil
 }
@@ -674,7 +595,7 @@ func parsePeers(s string) (map[string]string, error) {
 // pretrain feeds the agent a mixed analyst stream (count, avg, corr over
 // the standard interest regions) so every aggregate family has warm
 // models before traffic arrives.
-func pretrain(ag *sea.Agent, training int, seed int64) error {
+func pretrain(ag *core.Agent, training int, seed int64) error {
 	streams := []*workload.QueryStream{
 		workload.NewQueryStream(workload.NewRNG(seed), workload.DefaultRegions(2), query.Count),
 		workload.NewQueryStream(workload.NewRNG(seed+100), workload.DefaultRegions(2), query.Avg),

@@ -32,13 +32,16 @@
 // Node-to-node API (all JSON):
 //
 //	POST /v1/query     client-facing query; non-owners forward to owners
+//	POST /v1/explain   piecewise-linear explanation from this node's models
 //	POST /v1/ingest    client-facing row batches (replicated, quorum-
 //	                   acked, WAL-durable live write path)
 //	POST /v1/replicate primary-to-replica sequenced batch shipping
 //	POST /v1/walfetch  log-tail fetch for recovering replicas
-//	POST /v1/partial   per-partition aggregate state for scatter-gather
+//	POST /v1/partials  batched per-partition aggregate states for
+//	                   scatter-gather (one round trip per holder)
 //	GET  /v1/snapshot  agent snapshots for model shipping
 //	GET  /v1/cluster   membership, partitions held, serving health
+//	                   (also mounted as GET /v1/stats)
 //	GET  /v1/membership  the node's current membership view (epoch +
 //	                   members); POST installs a newer view (gossip)
 //	POST /v1/join      add a member: recompute placement, stage moving
@@ -62,9 +65,11 @@
 //	GET  /v1/metrics   Prometheus text exposition
 //	GET  /healthz      liveness (failover probing)
 //
-// cmd/seaserve exposes a node via -node-id/-peers/-replicas; E14
-// (internal/experiments) measures scale-out QPS, cross-shard latency and
-// failover recovery on an in-process LocalCluster.
+// cmd/seaserve serves one node: without -peers it is a one-member
+// cluster holding every partition, with -peers/-join it is one member
+// of many. E14 (internal/experiments) measures scale-out QPS,
+// cross-shard latency and failover recovery on an in-process
+// LocalCluster.
 package dist
 
 import (
@@ -481,34 +486,10 @@ func (r QueryResponse) Answer() core.Answer {
 	}
 }
 
-// PartialRequest asks a node for its local aggregate state of one data
-// partition.
-type PartialRequest struct {
-	Part  int                `json:"part"`
-	Query serve.QueryRequest `json:"query"`
-	// Trace asks the holder to record a span tree for its side of the
-	// work and return it in PartialResponse.Spans, so a traced query's
-	// tree stitches across node boundaries.
-	Trace bool `json:"trace,omitempty"`
-}
-
-// PartialResponse carries one partition's mergeable aggregate state (see
-// query.PartialEval).
-type PartialResponse struct {
-	Partial []float64 `json:"partial"`
-	// Rows is how many base rows the partition scan touched.
-	Rows int64 `json:"rows"`
-	// Spans is the holder's span tree for this request (only when the
-	// request asked for a trace).
-	Spans []trace.WireSpan `json:"spans,omitempty"`
-}
-
 // PartialsRequest asks a holder for its local aggregate states of many
-// data partitions in one round trip — the batched successor of
-// PartialRequest (POST /v1/partial stays mounted for wire back-compat).
-// Grouping a query's missing partitions per holder turns the exact
-// fallback's fan-out from one RPC per partition into one RPC per
-// holder.
+// data partitions in one round trip (POST /v1/partials). Grouping a
+// query's missing partitions per holder turns the exact fallback's
+// fan-out from one RPC per partition into one RPC per holder.
 type PartialsRequest struct {
 	Parts []int              `json:"parts"`
 	Query serve.QueryRequest `json:"query"`

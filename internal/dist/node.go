@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/explain"
 	"repro/internal/flight"
 	"repro/internal/ingest"
 	"repro/internal/metrics"
@@ -171,9 +172,9 @@ type Node struct {
 	// only the ingested tail.
 	baseLen map[int]int
 
-	// partialsServed counts incoming partial-state RPCs (batched and
-	// legacy); partialsSent counts outgoing batched rounds. E17 and the
-	// dist tests use them to assert the message-minimal fan-out shape.
+	// partialsServed counts incoming partial-state RPCs; partialsSent
+	// counts outgoing batched rounds. E17 and the dist tests use them to
+	// assert the message-minimal fan-out shape.
 	partialsServed atomic.Int64
 	partialsSent   atomic.Int64
 	// coverRot rotates the scatter cover's tie-break between equally
@@ -394,7 +395,7 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	n.mux = http.NewServeMux()
 	n.mux.HandleFunc("POST /v1/query", n.handleQuery)
-	n.mux.HandleFunc("POST /v1/partial", n.handlePartial)
+	n.mux.HandleFunc("POST /v1/explain", n.handleExplain)
 	n.mux.HandleFunc("POST /v1/partials", n.handlePartials)
 	n.mux.HandleFunc("POST /v1/ingest", n.handleIngest)
 	n.mux.HandleFunc("POST /v1/replicate", n.handleReplicate)
@@ -409,6 +410,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.mux.HandleFunc("GET /v1/rebalance", n.handleRebalance)
 	n.mux.HandleFunc("GET /v1/snapshot", n.handleSnapshot)
 	n.mux.HandleFunc("GET /v1/cluster", n.handleCluster)
+	n.mux.HandleFunc("GET /v1/stats", n.handleCluster)
 	n.mux.HandleFunc("GET /v1/status", n.handleStatus)
 	n.mux.HandleFunc("GET /v1/debug/cluster", n.handleDebugCluster)
 	n.mux.HandleFunc("POST /v1/debug/chaos", n.handleChaosSet)
@@ -452,7 +454,7 @@ func (n *Node) SLO() *metrics.SLOEngine { return n.slo }
 func (n *Node) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
-		case "/v1/query", "/v1/partial", "/v1/partials",
+		case "/v1/query", "/v1/partials",
 			"/v1/ingest", "/v1/replicate", "/v1/walfetch":
 			n.dataRPCs.Add(1)
 		}
@@ -743,15 +745,26 @@ func (n *Node) owners(q query.Query) []string {
 	return n.members().ring.Owners(serve.Key(q), n.cfg.Replicas)
 }
 
-func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
+// decodeQuery parses a client query body. The X-Tenant header takes
+// precedence over the body's tenant and is folded back into the wire
+// form, so a forwarded request reaches the owner's admission control
+// under the tenant the entry node resolved.
+func decodeQuery(w http.ResponseWriter, r *http.Request) (serve.QueryRequest, query.Query, error) {
 	var req serve.QueryRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
-		return
+		return req, query.Query{}, fmt.Errorf("%w: %v", query.ErrBadQuery, err)
 	}
 	q, err := req.Query()
+	if h := r.Header.Get("X-Tenant"); h != "" {
+		req.Tenant = h
+	}
+	return req, q, err
+}
+
+func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
+	req, q, err := decodeQuery(w, r)
 	if err != nil {
 		serve.WriteError(w, err)
 		return
@@ -764,13 +777,6 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant := req.Tenant
-	if h := r.Header.Get("X-Tenant"); h != "" {
-		tenant = h
-	}
-	// Fold the resolved tenant back into the wire form so forwarding
-	// preserves it: the owner's admission control must see the same
-	// tenant the entry node resolved, header or body.
-	req.Tenant = tenant
 
 	owners := n.owners(q)
 	mine := false
@@ -792,6 +798,37 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.answerLocal(w, r, tenant, q)
+}
+
+// handleExplain derives a piecewise-linear explanation of the query
+// from this node's models (the agent the query's key routes to).
+// Explanations run dozens of model probes, so they go through the same
+// admission control and worker pool as queries. A successful
+// explanation is pure model work and is recorded as a predicted
+// observation; a region with no trusted model maps to 422.
+func (n *Node) handleExplain(w http.ResponseWriter, r *http.Request) {
+	req, q, err := decodeQuery(w, r)
+	if err != nil {
+		serve.WriteError(w, err)
+		return
+	}
+	eng := explain.New(n.pool.Agents()[n.pool.RouteIndex(serve.Key(q))])
+	rec := n.rec()
+	v, err := n.sched.Do(req.Tenant, func() (any, error) {
+		start := time.Now()
+		ex, err := eng.Explain(q)
+		if err != nil {
+			rec.Error()
+			return nil, err
+		}
+		rec.Observe(time.Since(start), true)
+		return ex, nil
+	})
+	if err != nil {
+		serve.WriteError(w, err)
+		return
+	}
+	serve.WriteJSON(w, http.StatusOK, v)
 }
 
 func (n *Node) answerLocal(w http.ResponseWriter, r *http.Request, tenant string, q query.Query) {
@@ -876,43 +913,6 @@ func (n *Node) forward(w http.ResponseWriter, owners []string, req serve.QueryRe
 	return false
 }
 
-func (n *Node) handlePartial(w http.ResponseWriter, r *http.Request) {
-	n.partialsServed.Add(1)
-	var req PartialRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		serve.WriteError(w, fmt.Errorf("%w: %v", query.ErrBadQuery, err))
-		return
-	}
-	q, err := req.Query.Query()
-	if err != nil {
-		serve.WriteError(w, err)
-		return
-	}
-	var root *trace.Span
-	if req.Trace {
-		root = trace.NewSpan("partial", n.id)
-	}
-	partial, rowsRead, ok := n.localPartial(req.Part, q)
-	root.End()
-	root.SetAttrInt("part", int64(req.Part))
-	root.SetAttrInt("rows", rowsRead)
-	if !ok {
-		serve.WriteJSON(w, http.StatusNotFound, map[string]string{
-			"error": fmt.Sprintf("dist: node %s does not hold partition %d", n.id, req.Part),
-		})
-		return
-	}
-	resp := PartialResponse{
-		Partial: partial,
-		Rows:    rowsRead,
-	}
-	if root != nil {
-		resp.Spans = []trace.WireSpan{root.Wire()}
-	}
-	serve.WriteJSON(w, http.StatusOK, resp)
-}
-
 // handlePartials is the batched partial-state endpoint: one round trip
 // carries every partition the caller needs from this holder. Partitions
 // this node does not hold come back as per-entry errors, never as a
@@ -968,8 +968,8 @@ func (n *Node) handlePartials(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
-// PartialRPCsServed returns how many partial-state RPCs (batched and
-// legacy) this node has answered.
+// PartialRPCsServed returns how many partial-state RPCs this node has
+// answered.
 func (n *Node) PartialRPCsServed() int64 { return n.partialsServed.Load() }
 
 // PartialRPCsSent returns how many batched partials round trips this

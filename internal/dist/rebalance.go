@@ -149,6 +149,13 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 		if cur.has(req.ID) {
 			return View{}, fmt.Errorf("dist: member %q already in the view", req.ID)
 		}
+		for _, m := range cur.Members {
+			// A lone node booted without a peer list has no URL the
+			// newcomer could reach it at.
+			if m.URL == "" {
+				return View{}, fmt.Errorf("dist: member %q has no URL; boot it with one to grow its cluster", m.ID)
+			}
+		}
 		nv := cur.clone()
 		nv.Epoch++
 		nv.Members = append(nv.Members, Member{ID: req.ID, URL: req.URL})

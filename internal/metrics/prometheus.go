@@ -81,8 +81,8 @@ func WritePrometheus(w io.Writer, s ServeSnapshot) error {
 // emits plus real Prometheus histograms (`_bucket`/`_sum`/`_count`)
 // for every answer path's latency distribution and every accuracy-audit
 // error histogram, per-tenant-class counters, and the registered
-// gauges. Serving front-ends mount it on GET /v1/metrics so one scrape
-// config covers single-node servers and every cluster member alike.
+// gauges. Every serving node mounts it on GET /v1/metrics, so one
+// scrape config covers a lone node and every cluster member alike.
 func (r *ServeRecorder) WriteRecorder(w io.Writer) error {
 	if err := WritePrometheus(w, r.Snapshot()); err != nil {
 		return err

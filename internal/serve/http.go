@@ -54,11 +54,8 @@ type CostJSON struct {
 	Nodes    int   `json:"nodes_touched"`
 }
 
-// ToCostJSON converts a virtual cost to its wire form (shared with the
-// distributed node API in internal/dist).
-func ToCostJSON(c metrics.Cost) CostJSON { return costJSON(c) }
-
-func costJSON(c metrics.Cost) CostJSON {
+// ToCostJSON converts a virtual cost to its wire form.
+func ToCostJSON(c metrics.Cost) CostJSON {
 	return CostJSON{
 		TimeNS:   c.Time.Nanoseconds(),
 		CPUNS:    c.CPUTime.Nanoseconds(),
@@ -90,13 +87,6 @@ type QueryResponse struct {
 	// answers.
 	Degraded bool    `json:"degraded,omitempty"`
 	Coverage float64 `json:"coverage,omitempty"`
-}
-
-// StatsResponse combines agent lifetime counters with serving-layer
-// health.
-type StatsResponse struct {
-	Agent   core.Stats            `json:"agent"`
-	Serving metrics.ServeSnapshot `json:"serving"`
 }
 
 type errorResponse struct {
@@ -144,88 +134,51 @@ func (r QueryRequest) Query() (query.Query, error) {
 	return q, nil
 }
 
-// Server is the HTTP/JSON front-end over a Scheduler. Routes:
-//
-//	POST /v1/query             {tenant?, agg, los/his | center/radius, col?, col2?}
-//	                           ?trace=1 forces a trace, inlined in the answer
-//	POST /v1/explain           same body; piecewise-linear answer explanation
-//	GET  /v1/stats             agent + serving counters
-//	GET  /v1/metrics           Prometheus exposition (histograms included)
-//	GET  /v1/debug/traces      recent trace ids
-//	GET  /v1/debug/trace/{id}  one span tree from the ring
-//	GET  /v1/debug/slow        the slow-query log
-//	GET  /healthz              liveness
-//
-// Overload maps to 429, malformed queries to 400, oracle failures
-// to 502.
-type Server struct {
-	sched   *Scheduler
-	explain *explain.Engine
-	mux     *http.ServeMux
-}
-
-// NewServer builds the front-end. exp may be nil to disable /v1/explain.
-func NewServer(sched *Scheduler, exp *explain.Engine) *Server {
-	s := &Server{sched: sched, explain: exp, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("POST /v1/explain", s.handleExplain)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	RegisterDebug(s.mux, func() *trace.Tracer { return s.sched.pool.Tracer() })
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte("ok\n"))
-	})
-	return s
-}
-
 // RegisterDebug mounts the trace-debug routes on mux: the recent-trace
-// list, single-trace retrieval and the slow-query log. Shared with the
-// distributed node API so every serving front-end exposes the same
-// debug surface. tracerFn is consulted per request (it may return nil
-// while tracing is unconfigured — routes then return 404).
+// list, single-trace retrieval and the slow-query log. tracerFn is
+// consulted per request (it may return nil while tracing is
+// unconfigured — routes then return 404).
 func RegisterDebug(mux *http.ServeMux, tracerFn func() *trace.Tracer) {
 	mux.HandleFunc("GET /v1/debug/traces", func(w http.ResponseWriter, _ *http.Request) {
 		t := tracerFn()
 		if t == nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "tracing not configured"})
+			WriteJSON(w, http.StatusNotFound, errorResponse{Error: "tracing not configured"})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"traces": t.RecentIDs()})
+		WriteJSON(w, http.StatusOK, map[string]any{"traces": t.RecentIDs()})
 	})
 	mux.HandleFunc("GET /v1/debug/trace/{id}", func(w http.ResponseWriter, r *http.Request) {
 		t := tracerFn()
 		if t == nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "tracing not configured"})
+			WriteJSON(w, http.StatusNotFound, errorResponse{Error: "tracing not configured"})
 			return
 		}
 		ws, ok := t.Get(r.PathValue("id"))
 		if !ok {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "trace not in ring"})
+			WriteJSON(w, http.StatusNotFound, errorResponse{Error: "trace not in ring"})
 			return
 		}
-		writeJSON(w, http.StatusOK, ws)
+		WriteJSON(w, http.StatusOK, ws)
 	})
 	mux.HandleFunc("GET /v1/debug/slow", func(w http.ResponseWriter, _ *http.Request) {
 		t := tracerFn()
 		if t == nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "tracing not configured"})
+			WriteJSON(w, http.StatusNotFound, errorResponse{Error: "tracing not configured"})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"slow": t.SlowLog()})
+		WriteJSON(w, http.StatusOK, map[string]any{"slow": t.SlowLog()})
 	})
 }
 
 // RegisterFlight mounts the flight-recorder routes on mux: metric
-// history replay and the diagnostic-bundle spool. Shared with the
-// distributed node API like RegisterDebug. fn is consulted per request
-// (it may return nil while the recorder is unconfigured — routes then
-// return 404).
+// history replay and the diagnostic-bundle spool. fn is consulted per
+// request (it may return nil while the recorder is unconfigured —
+// routes then return 404).
 func RegisterFlight(mux *http.ServeMux, fn func() *flight.Recorder) {
 	unavailable := func(w http.ResponseWriter) *flight.Recorder {
 		fr := fn()
 		if fr == nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "flight recorder not enabled"})
+			WriteJSON(w, http.StatusNotFound, errorResponse{Error: "flight recorder not enabled"})
 		}
 		return fr
 	}
@@ -236,14 +189,14 @@ func RegisterFlight(mux *http.ServeMux, fn func() *flight.Recorder) {
 		}
 		metric := r.URL.Query().Get("metric")
 		if metric == "" {
-			writeJSON(w, http.StatusOK, map[string]any{"metrics": fr.Metrics()})
+			WriteJSON(w, http.StatusOK, map[string]any{"metrics": fr.Metrics()})
 			return
 		}
 		window := time.Duration(0)
 		if ws := r.URL.Query().Get("window"); ws != "" {
 			d, err := time.ParseDuration(ws)
 			if err != nil {
-				writeJSON(w, http.StatusBadRequest,
+				WriteJSON(w, http.StatusBadRequest,
 					errorResponse{Error: "bad window: " + err.Error()})
 				return
 			}
@@ -251,10 +204,10 @@ func RegisterFlight(mux *http.ServeMux, fn func() *flight.Recorder) {
 		}
 		h, ok := fr.History(metric, window)
 		if !ok {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown metric " + metric})
+			WriteJSON(w, http.StatusNotFound, errorResponse{Error: "unknown metric " + metric})
 			return
 		}
-		writeJSON(w, http.StatusOK, h)
+		WriteJSON(w, http.StatusOK, h)
 	})
 	mux.HandleFunc("GET /v1/debug/bundles", func(w http.ResponseWriter, _ *http.Request) {
 		fr := unavailable(w)
@@ -265,7 +218,7 @@ func RegisterFlight(mux *http.ServeMux, fn func() *flight.Recorder) {
 		if bundles == nil {
 			bundles = []flight.BundleInfo{}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"bundles": bundles})
+		WriteJSON(w, http.StatusOK, map[string]any{"bundles": bundles})
 	})
 	mux.HandleFunc("GET /v1/debug/bundle/{id}/{file}", func(w http.ResponseWriter, r *http.Request) {
 		fr := unavailable(w)
@@ -274,19 +227,12 @@ func RegisterFlight(mux *http.ServeMux, fn func() *flight.Recorder) {
 		}
 		path, err := fr.BundleFile(r.PathValue("id"), r.PathValue("file"))
 		if err != nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+			WriteJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		http.ServeFile(w, r, path)
 	})
-}
-
-// EnableFlight mounts the flight routes on the server's mux and
-// attaches the recorder to the pool's per-query exemplar hook.
-func (s *Server) EnableFlight(fr *flight.Recorder) {
-	s.sched.pool.EnableFlight(fr)
-	RegisterFlight(s.mux, func() *flight.Recorder { return fr })
 }
 
 // RegisterPprof mounts the standard net/http/pprof profiling handlers
@@ -301,18 +247,7 @@ func RegisterPprof(mux *http.ServeMux) {
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
 
-// EnablePprof mounts the profiling handlers on the server's mux.
-func (s *Server) EnablePprof() { RegisterPprof(s.mux) }
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Scheduler returns the underlying scheduler (for shutdown and stats).
-func (s *Server) Scheduler() *Scheduler { return s.sched }
-
 // WriteJSON writes v as a JSON response with the given status code.
-// Exported so sibling HTTP front-ends (the distributed node API in
-// internal/dist) share one wire convention.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -328,11 +263,7 @@ var ErrDeadline = errors.New("serve: deadline exceeded")
 // WriteError maps err onto the serving layer's status-code convention
 // (400 malformed, 429 overload, 503 closed, 502 oracle failure, 504
 // dead-on-arrival deadline) and writes it as a JSON error body.
-func WriteError(w http.ResponseWriter, err error) { writeError(w, err) }
-
-func writeJSON(w http.ResponseWriter, code int, v any) { WriteJSON(w, code, v) }
-
-func writeError(w http.ResponseWriter, err error) {
+func WriteError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, query.ErrBadQuery):
@@ -348,61 +279,7 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrDeadline):
 		code = http.StatusGatewayTimeout
 	}
-	writeJSON(w, code, errorResponse{Error: err.Error()})
-}
-
-// decode parses the request body into a query plus tenant id.
-func decode(r *http.Request) (query.Query, string, error) {
-	var req QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return query.Query{}, "", fmt.Errorf("%w: %v", query.ErrBadQuery, err)
-	}
-	q, err := req.Query()
-	if err != nil {
-		return query.Query{}, "", err
-	}
-	tenant := req.Tenant
-	if h := r.Header.Get("X-Tenant"); h != "" {
-		tenant = h
-	}
-	return q, tenant, nil
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, tenant, err := decode(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var tr *trace.Trace
-	var ans core.Answer
-	if TraceRequested(r) {
-		tr = s.sched.pool.Tracer().Force("query")
-		ans, err = s.sched.AnswerTraced(tenant, q, tr)
-	} else {
-		ans, err = s.sched.Answer(tenant, q)
-	}
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	resp := QueryResponse{
-		Value:     ans.Value,
-		Predicted: ans.Predicted,
-		EstError:  ans.EstError,
-		Quantum:   ans.Quantum,
-		StaleRows: ans.FreshRows,
-		Cost:      costJSON(ans.Cost),
-		Degraded:  ans.Degraded,
-		Coverage:  ans.Coverage,
-	}
-	if tr != nil {
-		resp.TraceID = tr.ID()
-		resp.Trace = tr.Wire()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, code, errorResponse{Error: err.Error()})
 }
 
 // TraceRequested reports whether the request asked for a forced inline
@@ -411,83 +288,18 @@ func TraceRequested(r *http.Request) bool {
 	return r.URL.Query().Get("trace") == "1"
 }
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if s.explain == nil {
-		writeJSON(w, http.StatusNotImplemented, errorResponse{Error: "explanations disabled"})
-		return
-	}
-	q, tenant, err := decode(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// Explanations run ~dozens of model probes, so they go through the
-	// same admission control and worker pool as queries — no endpoint
-	// bypasses overload protection. A successful explanation is pure
-	// model work and is recorded as a predicted observation.
-	v, err := s.sched.Do(tenant, func() (any, error) {
-		start := time.Now()
-		ex, err := s.explain.Explain(q)
-		if err != nil {
-			s.sched.pool.rec.Error()
-			return nil, err
-		}
-		s.sched.pool.rec.Observe(time.Since(start), true)
-		return ex, nil
-	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Agent:   s.sched.pool.Stats(),
-		Serving: s.sched.pool.rec.Snapshot(),
-	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	WriteMetrics(w, s.sched.pool.rec)
-}
-
 // WriteMetrics renders the recorder's full Prometheus exposition —
 // counters, gauges, per-path and per-tenant-class latency histograms,
-// audit error histograms and registered gauges; the distributed node
-// API mounts the same exposition on its own GET /v1/metrics route.
+// audit error histograms and registered gauges (GET /v1/metrics).
 func WriteMetrics(w http.ResponseWriter, rec *metrics.ServeRecorder) {
 	w.Header().Set("Content-Type", metrics.PrometheusContentType)
 	w.WriteHeader(http.StatusOK)
 	_ = rec.WriteRecorder(w)
 }
 
-// ListenAndServe runs the front-end on addr until the listener fails.
-func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           s,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	return srv.ListenAndServe()
-}
-
-// Run serves on addr until ctx is cancelled, then shuts down gracefully.
-// cmd/seaserve wires ctx to SIGINT/SIGTERM so the process never dies
-// mid-request.
-func (s *Server) Run(ctx context.Context, addr string, drain time.Duration) error {
-	return RunHTTP(ctx, addr, s, drain, s.sched.Close)
-}
-
-// ServeListener is Run over an existing listener.
-func (s *Server) ServeListener(ctx context.Context, l net.Listener, drain time.Duration) error {
-	return RunListener(ctx, l, s, drain, s.sched.Close)
-}
-
 // RunHTTP serves h on addr until ctx is cancelled, then shuts down
 // gracefully (see RunListener). onStopped runs once serving has ended
-// either way — the serving front-ends pass their scheduler drain here.
+// either way — the node passes its scheduler drain here.
 func RunHTTP(ctx context.Context, addr string, h http.Handler, drain time.Duration, onStopped func()) error {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -502,8 +314,7 @@ func RunHTTP(ctx context.Context, addr string, h http.Handler, drain time.Durati
 // RunListener serves h on l until ctx is cancelled, then shuts down
 // gracefully: the listener stops accepting, in-flight requests get up to
 // drain to finish (http.Server.Shutdown), then onStopped (if any) runs.
-// A clean shutdown returns nil. Both serving front-ends — this package's
-// Server and internal/dist's node API — share this one drain path.
+// A clean shutdown returns nil.
 func RunListener(ctx context.Context, l net.Listener, h http.Handler, drain time.Duration, onStopped func()) error {
 	if drain <= 0 {
 		drain = 10 * time.Second

@@ -19,8 +19,9 @@
 //     (ErrQueueFull, ErrTenantThrottled) instead of queueing without
 //     bound.
 //
-//   - Server exposes the agent API (count/sum/avg/var/corr/slope,
-//     explanations, stats) over HTTP/JSON; cmd/seaserve is the binary.
+//   - The HTTP helpers (wire types, status-code mapping, debug, flight
+//     and pprof routes, graceful drain) are shared by internal/dist's
+//     node API, which cmd/seaserve serves.
 //
 // Throughput and latency are instrumented through
 // metrics.ServeRecorder: QPS, p50/p90/p99 latency, fallback and
@@ -169,7 +170,7 @@ func (p *Pool) getKeyBuf() *keyBuf {
 }
 
 // NewPool builds a pool over the given agents, instrumented through rec
-// (which may be shared with a Scheduler/Server; nil allocates one).
+// (nil allocates one).
 func NewPool(agents []*core.Agent, rec *metrics.ServeRecorder) (*Pool, error) {
 	if len(agents) == 0 {
 		return nil, ErrNoAgents

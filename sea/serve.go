@@ -1,15 +1,16 @@
 package sea
 
 // This file re-exports the concurrent serving layer (internal/serve):
-// a bounded-concurrency scheduler with per-tenant admission control and
-// an HTTP/JSON front-end over a pool of thread-safe agents. The
-// underlying core.Agent is safe for concurrent use, so a single Agent
-// may also be shared across goroutines directly; the serving layer adds
-// overload protection, single-flight dedup of identical in-flight
-// oracle fallbacks, and throughput/latency instrumentation.
+// a bounded-concurrency scheduler with per-tenant admission control
+// over a pool of thread-safe agents. The underlying core.Agent is safe
+// for concurrent use, so a single Agent may also be shared across
+// goroutines directly; the serving layer adds overload protection,
+// single-flight dedup of identical in-flight oracle fallbacks, and
+// throughput/latency instrumentation.
 //
-// See cmd/seaserve for the runnable server binary and DESIGN.md for the
-// serving architecture.
+// See cmd/seaserve for the runnable HTTP server (a dist.Node; without
+// -peers a one-member cluster) and DESIGN.md for the serving
+// architecture.
 
 import (
 	"fmt"
@@ -21,9 +22,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
-
-// Server is the HTTP/JSON serving front-end (see serve.Server).
-type Server = serve.Server
 
 // Scheduler bounds serving concurrency (see serve.Scheduler).
 type Scheduler = serve.Scheduler
@@ -116,14 +114,4 @@ func NewScheduler(agents []*Agent, opt ServeOptions) (*Scheduler, error) {
 		QueueDepth:     opt.QueueDepth,
 		TenantInflight: opt.TenantInflight,
 	}), nil
-}
-
-// NewServer builds the HTTP/JSON front-end over the given agents. The
-// first agent's explanation engine backs /v1/explain.
-func NewServer(agents []*Agent, opt ServeOptions) (*Server, error) {
-	sched, err := NewScheduler(agents, opt)
-	if err != nil {
-		return nil, err
-	}
-	return serve.NewServer(sched, agents[0].explain), nil
 }

@@ -106,7 +106,4 @@ func TestNewSchedulerServesSharedAgent(t *testing.T) {
 	if _, err := sea.NewScheduler(nil, sea.ServeOptions{}); err == nil {
 		t.Error("NewScheduler with no agents must fail")
 	}
-	if _, err := sea.NewServer(nil, sea.ServeOptions{}); err == nil {
-		t.Error("NewServer with no agents must fail")
-	}
 }
