@@ -436,7 +436,7 @@ func BenchmarkE17HotPath(b *testing.B) {
 // hooks may cost nil checks and one atomic load, nothing more (CI
 // greps this line). Sampled forces a trace on every query to bound
 // the worst-case per-trace cost. The E18 sub-benchmark reports the
-// full experiment row: baseline vs traced QPS at 1-in-100 sampling,
+// full experiment row: the paired overhead of 1-in-100 sampling,
 // the shadow audit's measured MAPE against ground truth, and the
 // stitched multi-node span-tree shape.
 func BenchmarkE18TraceOverhead(b *testing.B) {
@@ -474,14 +474,12 @@ func BenchmarkE18TraceOverhead(b *testing.B) {
 		var row experiments.E18Row
 		var err error
 		for i := 0; i < b.N; i++ {
-			row, err = experiments.E18TraceOverhead(20_000, 300, 16, 500, 100)
+			row, err = experiments.E18TraceOverhead(20_000, 300, 1, 300_000, 100)
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(row.BaselineQPS, "baseline_qps")
-		b.ReportMetric(row.TracedQPS, "traced_qps")
-		b.ReportMetric(row.OverheadPct, "overhead_pct")
+		reportOverhead(b, row.Overhead)
 		b.ReportMetric(float64(row.SampledTraces), "sampled_traces")
 		b.ReportMetric(float64(row.TraceSpans), "trace_spans")
 		b.ReportMetric(float64(row.TraceNodes), "trace_nodes")
@@ -498,8 +496,7 @@ func BenchmarkE18TraceOverhead(b *testing.B) {
 // worst case: slow-query logging firing on every query through a
 // rate-limited logger with the runtime sampler live. The E19
 // sub-benchmark reports the full experiment row: the replication-lag
-// narrative plus baseline vs instrumented QPS, which CI gates at a
-// <=2% drop.
+// narrative plus the paired overhead, which CI gates at a <=2% drop.
 func BenchmarkE19ObsOverhead(b *testing.B) {
 	fix, err := experiments.NewE17Fixture(20_000, 300)
 	if err != nil {
@@ -543,14 +540,12 @@ func BenchmarkE19ObsOverhead(b *testing.B) {
 		var row experiments.E19Row
 		var err error
 		for i := 0; i < b.N; i++ {
-			row, err = experiments.E19Introspection(20_000, 300, 16, 4000)
+			row, err = experiments.E19Introspection(20_000, 300, 1, 300_000)
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(row.BaselineQPS, "baseline_qps")
-		b.ReportMetric(row.ObsQPS, "obs_qps")
-		b.ReportMetric(row.OverheadPct, "overhead_pct")
+		reportOverhead(b, row.Overhead)
 		b.ReportMetric(float64(row.DownCritical), "down_critical")
 		b.ReportMetric(float64(row.LagParts), "lag_parts")
 		b.ReportMetric(float64(row.LagPeak), "lag_peak")
@@ -564,8 +559,8 @@ func BenchmarkE19ObsOverhead(b *testing.B) {
 // Steady: one full recorder tick — every counter, gauge, and histogram
 // quantile sampled into its ring, anomaly detectors fed — must report
 // 0 allocs/op at steady state (CI greps this line). The E20
-// sub-benchmark reports the full experiment row: paired baseline vs
-// recorder-on QPS (CI gates the drop at <=2%) plus the overload
+// sub-benchmark reports the full experiment row: the paired overhead
+// of the recorder (CI gates the drop at <=2%) plus the overload
 // narrative — anomaly fired, SLO critical, bundle captured, history
 // rings queryable.
 func BenchmarkE20FlightSample(b *testing.B) {
@@ -594,14 +589,12 @@ func BenchmarkE20FlightSample(b *testing.B) {
 		var row experiments.E20Row
 		var err error
 		for i := 0; i < b.N; i++ {
-			row, err = experiments.E20FlightRecorder(20_000, 300, 16, 4000)
+			row, err = experiments.E20FlightRecorder(20_000, 300, 1, 300_000)
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(row.BaselineQPS, "baseline_qps")
-		b.ReportMetric(row.FlightQPS, "flight_qps")
-		b.ReportMetric(row.OverheadPct, "overhead_pct")
+		reportOverhead(b, row.Overhead)
 		b.ReportMetric(float64(row.Series), "series")
 		b.ReportMetric(float64(row.Anomalies), "anomalies")
 		b.ReportMetric(row.AnomalyZ, "anomaly_z")
@@ -622,8 +615,8 @@ func BenchmarkE20FlightSample(b *testing.B) {
 // ZERO heap allocations per request over its base transport — CI greps
 // its allocs/op, so a regression that makes every inter-node RPC in a
 // production cluster allocate fails the build. E21 regenerates the
-// full chaos-resilience scenario and reports its row: the overhead
-// halves (paired stripped-vs-hardened QPS, the ≤2% benchcheck gate)
+// full chaos-resilience scenario and reports its row: the paired
+// stripped-vs-hardened overhead (the ≤2% benchcheck gate)
 // and the armed-chaos narrative (zero client errors, honest degraded
 // coverage, breakers opening and re-closing).
 func BenchmarkE21Resilience(b *testing.B) {
@@ -646,14 +639,12 @@ func BenchmarkE21Resilience(b *testing.B) {
 		var row experiments.E21Row
 		var err error
 		for i := 0; i < b.N; i++ {
-			row, err = experiments.E21ChaosResilience(20_000, 8, 600)
+			row, err = experiments.E21ChaosResilience(20_000, 8, 12_000)
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(row.BaselineQPS, "baseline_qps")
-		b.ReportMetric(row.ChaosQPS, "chaos_qps")
-		b.ReportMetric(row.OverheadPct, "overhead_pct")
+		reportOverhead(b, row.Overhead)
 		b.ReportMetric(float64(row.Hedges), "hedges")
 		b.ReportMetric(float64(row.ClientErrors), "client_errors")
 		b.ReportMetric(float64(row.Degraded), "degraded")
@@ -675,7 +666,7 @@ func BenchmarkE21Resilience(b *testing.B) {
 // heap allocations — CI greps its allocs/op, so a regression that
 // makes every disarmed node's background tick allocate fails the
 // build. E22 regenerates the full elastic-membership scenario and
-// reports its row: the paired disarmed-vs-armed QPS halves (the ≤2%
+// reports its row: the paired disarmed-vs-armed overhead (the ≤2%
 // benchcheck gate) plus the churn narrative — grow 3→5, retire a
 // founder, zero acked-row loss, and a corrupted replica healed back to
 // bit-identical by anti-entropy.
@@ -704,14 +695,12 @@ func BenchmarkE22Elastic(b *testing.B) {
 		var row experiments.E22Row
 		var err error
 		for i := 0; i < b.N; i++ {
-			row, err = experiments.E22ElasticMembership(20_000, 8, 600)
+			row, err = experiments.E22ElasticMembership(20_000, 8, 12_000)
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(row.BaselineQPS, "baseline_qps")
-		b.ReportMetric(row.ElasticQPS, "elastic_qps")
-		b.ReportMetric(row.OverheadPct, "overhead_pct")
+		reportOverhead(b, row.Overhead)
 		b.ReportMetric(float64(row.Queries), "queries")
 		b.ReportMetric(float64(row.ClientErrors), "client_errors")
 		b.ReportMetric(row.QueryP99MS, "query_p99_ms")
@@ -732,6 +721,15 @@ func BenchmarkE22Elastic(b *testing.B) {
 type nopTransport struct{ resp *http.Response }
 
 func (t nopTransport) RoundTrip(*http.Request) (*http.Response, error) { return t.resp, nil }
+
+// reportOverhead reports the paired overhead harness's readings.
+func reportOverhead(b *testing.B, o experiments.Overhead) {
+	b.ReportMetric(o.BaselineQPS, "baseline_qps")
+	b.ReportMetric(o.TreatedQPS, "treated_qps")
+	b.ReportMetric(o.NullQPS, "null_qps")
+	b.ReportMetric(o.OverheadPct, "overhead_pct")
+	b.ReportMetric(o.NullPct, "null_pct")
+}
 
 func boolMetric(v bool) float64 {
 	if v {

@@ -23,10 +23,15 @@
 // turns benchcheck into a within-run gate between two metrics of one
 // row — e.g. the E18 tracing-overhead contract, where the traced QPS
 // must stay within -max-drop of the untraced QPS measured in the same
-// process seconds earlier:
+// process by the paired overhead harness:
 //
 //	benchcheck -base bench.json -new bench.json -experiment E18 \
-//	    -base-metric baseline_qps -metric traced_qps -max-drop 0.05
+//	    -base-metric baseline_qps -metric treated_qps -max-drop 0.05
+//
+// A within-run gate (-base == -new, or -base-metric set) fails when the
+// file holds no rows to compare: an experiment that errored upstream
+// must not pass its gate. Only a cross-push comparison whose baseline
+// predates the experiment skips.
 //
 // Usage:
 //
@@ -40,6 +45,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 )
@@ -84,20 +90,32 @@ func load(path, experiment, metric string, allowZero bool) (map[string]float64, 
 }
 
 func main() {
-	basePath := flag.String("base", "", "baseline seabench -json file")
-	newPath := flag.String("new", "", "candidate seabench -json file")
-	experiment := flag.String("experiment", "E16", "experiment id to compare")
-	metric := flag.String("metric", "vec_mrows_s", "row field holding the throughput (higher = better)")
-	baseMetric := flag.String("base-metric", "",
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one comparison and returns the process exit code: 0 ok
+// (or a skipped first cross-push run), 1 regression or missing rows,
+// 2 usage or read error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	basePath := fs.String("base", "", "baseline seabench -json file")
+	newPath := fs.String("new", "", "candidate seabench -json file")
+	experiment := fs.String("experiment", "E16", "experiment id to compare")
+	metric := fs.String("metric", "vec_mrows_s", "row field holding the throughput (higher = better)")
+	baseMetric := fs.String("base-metric", "",
 		"row field to read from the baseline file (default: same as -metric; use with -base == -new for within-run gates)")
-	maxDrop := flag.Float64("max-drop", 0.20, "maximum tolerated fractional regression")
-	lowerBetter := flag.Bool("lower-better", false,
+	maxDrop := fs.Float64("max-drop", 0.20, "maximum tolerated fractional regression")
+	lowerBetter := fs.Bool("lower-better", false,
 		"treat the metric as a cost (e.g. allocs/op): admit zero values and fail when it rises")
-	flag.Parse()
-	if *basePath == "" || *newPath == "" {
-		fmt.Fprintln(os.Stderr, "benchcheck: -base and -new are required")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+	if *basePath == "" || *newPath == "" {
+		fmt.Fprintln(stderr, "benchcheck: -base and -new are required")
+		return 2
+	}
+	withinRun := *basePath == *newPath || *baseMetric != ""
 
 	bm := *baseMetric
 	if bm == "" {
@@ -105,26 +123,31 @@ func main() {
 	}
 	base, err := load(*basePath, *experiment, bm, *lowerBetter)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: read baseline: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchcheck: read baseline: %v\n", err)
+		return 2
 	}
 	cand, err := load(*newPath, *experiment, *metric, *lowerBetter)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: read candidate: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchcheck: read candidate: %v\n", err)
+		return 2
 	}
 	if len(base) == 0 {
+		if withinRun {
+			fmt.Fprintf(stderr, "benchcheck: FAIL: %s has no %s/%s rows for a within-run gate\n",
+				*basePath, *experiment, bm)
+			return 1
+		}
 		// First run after the experiment landed (or baseline predates
 		// it): nothing to compare against — pass, the artifact becomes
 		// the next baseline.
-		fmt.Printf("benchcheck: no %s/%s rows in baseline %s; skipping comparison\n",
+		fmt.Fprintf(stdout, "benchcheck: no %s/%s rows in baseline %s; skipping comparison\n",
 			*experiment, bm, *basePath)
-		return
+		return 0
 	}
 	if len(cand) == 0 {
-		fmt.Fprintf(os.Stderr, "benchcheck: candidate %s has no %s/%s rows\n",
+		fmt.Fprintf(stderr, "benchcheck: candidate %s has no %s/%s rows\n",
 			*newPath, *experiment, *metric)
-		os.Exit(1)
+		return 1
 	}
 
 	var logSum float64
@@ -132,7 +155,7 @@ func main() {
 	for key, b := range base {
 		c, ok := cand[key]
 		if !ok {
-			fmt.Printf("benchcheck: %s: only in baseline, skipped\n", key)
+			fmt.Fprintf(stdout, "benchcheck: %s: only in baseline, skipped\n", key)
 			continue
 		}
 		var ratio float64
@@ -143,25 +166,30 @@ func main() {
 		} else {
 			ratio = c / b
 		}
-		fmt.Printf("benchcheck: %s: base=%.2f new=%.2f ratio=%.3f\n", key, b, c, ratio)
+		fmt.Fprintf(stdout, "benchcheck: %s: base=%.2f new=%.2f ratio=%.3f\n", key, b, c, ratio)
 		logSum += math.Log(ratio)
 		n++
 	}
 	if n == 0 {
-		fmt.Println("benchcheck: no comparable rows; skipping")
-		return
+		if withinRun {
+			fmt.Fprintln(stderr, "benchcheck: FAIL: no comparable rows for a within-run gate")
+			return 1
+		}
+		fmt.Fprintln(stdout, "benchcheck: no comparable rows; skipping")
+		return 0
 	}
 	geo := math.Exp(logSum / float64(n))
 	floor := 1 - *maxDrop
-	fmt.Printf("benchcheck: geomean ratio %.3f over %d rows (floor %.3f)\n", geo, n, floor)
+	fmt.Fprintf(stdout, "benchcheck: geomean ratio %.3f over %d rows (floor %.3f)\n", geo, n, floor)
 	if geo < floor {
 		what := "throughput"
 		if *lowerBetter {
 			what = *metric
 		}
-		fmt.Fprintf(os.Stderr, "benchcheck: FAIL: %s %s regressed %.1f%% (> %.0f%% allowed)\n",
+		fmt.Fprintf(stderr, "benchcheck: FAIL: %s %s regressed %.1f%% (> %.0f%% allowed)\n",
 			*experiment, what, (1-geo)*100, *maxDrop*100)
-		os.Exit(1)
+		return 1
 	}
-	fmt.Println("benchcheck: OK")
+	fmt.Fprintln(stdout, "benchcheck: OK")
+	return 0
 }

@@ -427,19 +427,27 @@ func run(scale, only string, jsonOut bool) error {
 		}
 	}
 
+	// E18–E22's paired overhead harness takes the same sample counts at
+	// every scale: they set its resolution, not the experiment's size.
+	// In process it runs one closed-loop client, since more turn a small
+	// box's per-request latency into run-queue waits. Over loopback HTTP
+	// it runs enough clients to keep every core busy: an idle core's
+	// wake-ups put multi-ms stalls into the latency tail.
+	const inProcessPairs, clusterPairsPerWorker = 300_000, 12_000
+
 	if want("E18") {
 		// Observability: tracing overhead at 1-in-100 sampling, the
 		// shadow audit's MAPE vs ground truth, and the stitched
 		// multi-node span tree of one forced cross-shard trace.
 		r, err := experiments.E18TraceOverhead(pick(10_000, 20_000), 300,
-			pick(8, 16), pick(250, 1000), 100)
+			1, inProcessPairs, 100)
 		if err != nil {
 			return err
 		}
 		if !em.emit("E18", r) {
 			fmt.Println("== E18: query-path tracing overhead + continuous accuracy audit ==")
-			fmt.Printf("baseline_qps=%.0f traced_qps=%.0f overhead=%.2f%% sampled=%d  trace: spans=%d nodes=%d partial_rpcs=%d  audit: samples=%d mape=%.4f truth=%.4f  slow_logged=%d\n\n",
-				r.BaselineQPS, r.TracedQPS, r.OverheadPct, r.SampledTraces,
+			fmt.Printf("overhead: %s sampled=%d\n", overheadLine(r.Overhead), r.SampledTraces)
+			fmt.Printf("trace: spans=%d nodes=%d partial_rpcs=%d  audit: samples=%d mape=%.4f truth=%.4f  slow_logged=%d\n\n",
 				r.TraceSpans, r.TraceNodes, r.PartialRPCSpans,
 				r.AuditSamples, r.AuditMAPE, r.TruthMAPE, r.SlowLogged)
 		}
@@ -450,19 +458,17 @@ func run(scale, only string, jsonOut bool) error {
 		// critical finding, then nonzero replication lag after a cold
 		// revive, then a clean report after catch-up; plus what logging
 		// and runtime sampling cost at serving speed.
-		// perWorker stays high even at smoke scale: the overhead gate
-		// compares two QPS readings of the same row, and sub-20ms
-		// phases drown a ≤2% signal in scheduler noise.
 		r, err := experiments.E19Introspection(pick(10_000, 20_000), 300,
-			pick(4, 16), pick(20_000, 4_000))
+			1, inProcessPairs)
 		if err != nil {
 			return err
 		}
 		if !em.emit("E19", r) {
 			fmt.Println("== E19: cluster introspection plane (replication lag, findings, obs overhead) ==")
-			fmt.Printf("victim=%s down_critical=%d lag: parts=%d peak=%d caught_up=%v  overhead: baseline_qps=%.0f obs_qps=%.0f drop=%.2f%% log_lines=%d dropped=%d\n\n",
+			fmt.Printf("overhead: %s\n", overheadLine(r.Overhead))
+			fmt.Printf("victim=%s down_critical=%d lag: parts=%d peak=%d caught_up=%v  storm: log_lines=%d dropped=%d\n\n",
 				r.Victim, r.DownCritical, r.LagParts, r.LagPeak, r.CaughtUp,
-				r.BaselineQPS, r.ObsQPS, r.OverheadPct, r.LogLines, r.LogDropped)
+				r.LogLines, r.LogDropped)
 		}
 	}
 
@@ -471,18 +477,14 @@ func run(scale, only string, jsonOut bool) error {
 		// period, then the induced-overload narrative — anomaly fired,
 		// SLO critical, exactly one bundle per cooldown window, latency
 		// ramp queryable at both history resolutions.
-		// perWorker stays high even at smoke scale: the overhead gate
-		// compares two QPS readings of the same row, and sub-20ms
-		// phases drown a ≤2% signal in scheduler noise.
 		r, err := experiments.E20FlightRecorder(pick(10_000, 20_000), 300,
-			pick(4, 16), pick(20_000, 4_000))
+			1, inProcessPairs)
 		if err != nil {
 			return err
 		}
 		if !em.emit("E20", r) {
 			fmt.Println("== E20: flight recorder (history rings, anomaly detection, triggered bundles) ==")
-			fmt.Printf("overhead: baseline_qps=%.0f flight_qps=%.0f drop=%.2f%% series=%d\n",
-				r.BaselineQPS, r.FlightQPS, r.OverheadPct, r.Series)
+			fmt.Printf("overhead: %s series=%d\n", overheadLine(r.Overhead), r.Series)
 			fmt.Printf("narrative: anomaly=%s z=%.1f slo_state=%d triggers=%d/%d suppressed=%d bundle_files=%d ramp=%.1fx hi=%d lo=%d exemplar=%s\n\n",
 				r.AnomalyMetric, r.AnomalyZ, r.SLOState,
 				r.TriggersFirstWindow, r.Triggers, r.Suppressed,
@@ -497,14 +499,13 @@ func run(scale, only string, jsonOut bool) error {
 		// peers, zero client-visible errors, honest degraded coverage,
 		// breaker opens and re-closes after the rules clear.
 		r, err := experiments.E21ChaosResilience(pick(8_000, 20_000),
-			pick(4, 8), pick(600, 900))
+			pick(4, 8), clusterPairsPerWorker)
 		if err != nil {
 			return err
 		}
 		if !em.emit("E21", r) {
 			fmt.Println("== E21: chaos resilience (deadlines, retries, breakers, hedges, degradation) ==")
-			fmt.Printf("overhead: baseline_qps=%.0f chaos_qps=%.0f drop=%.2f%% hedges=%d\n",
-				r.BaselineQPS, r.ChaosQPS, r.OverheadPct, r.Hedges)
+			fmt.Printf("overhead: %s hedges=%d\n", overheadLine(r.Overhead), r.Hedges)
 			fmt.Printf("narrative: queries=%d errors=%d degraded=%d coverage=[%.2f,%.2f] honesty_err=%.2f%% p99=%.0f->%.0fms retries=%d delayed=%d errored=%d blackholed=%d breaker_opened=%v reclosed=%v recover=%dms\n\n",
 				r.Queries, r.ClientErrors, r.Degraded, r.MinCoverage, r.MaxCoverage,
 				r.HonestyErrPct, r.BaseP99MS, r.ChaosP99MS, r.RPCRetries,
@@ -522,14 +523,13 @@ func run(scale, only string, jsonOut bool) error {
 		// corrupted replica is healed back to bit-identical by the
 		// background anti-entropy loop.
 		r, err := experiments.E22ElasticMembership(pick(8_000, 20_000),
-			pick(4, 8), pick(600, 900))
+			pick(4, 8), clusterPairsPerWorker)
 		if err != nil {
 			return err
 		}
 		if !em.emit("E22", r) {
 			fmt.Println("== E22: elastic membership (join/leave, rebalance, anti-entropy) ==")
-			fmt.Printf("overhead: baseline_qps=%.0f elastic_qps=%.0f drop=%.2f%%\n",
-				r.BaselineQPS, r.ElasticQPS, r.OverheadPct)
+			fmt.Printf("overhead: %s\n", overheadLine(r.Overhead))
 			fmt.Printf("narrative: queries=%d errors=%d p99=%.0fms joined=%d left=%d epoch=%d moved_parts=%d acked=%d loss=%d repairs=%d repair=%dms finding=%v\n\n",
 				r.Queries, r.ClientErrors, r.QueryP99MS, r.Joined, r.Left,
 				r.FinalEpoch, r.MovedParts, r.AckedRows, r.LossRows,
@@ -621,4 +621,12 @@ func maxf(a, b float64) float64 {
 		return a
 	}
 	return b
+}
+
+// overheadLine formats the paired A/B/A′ overhead every E18–E22 row
+// carries: the treated plane's drop and the null arm's, both against
+// the baseline instance.
+func overheadLine(o experiments.Overhead) string {
+	return fmt.Sprintf("baseline_qps=%.0f treated_qps=%.0f null_qps=%.0f drop=%.2f%% null=%.2f%% pairs=%d",
+		o.BaselineQPS, o.TreatedQPS, o.NullQPS, o.OverheadPct, o.NullPct, o.Pairs)
 }

@@ -5,9 +5,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"runtime"
-	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,12 +28,10 @@ type E22Row struct {
 	Nodes   int `json:"nodes"`
 	Workers int `json:"workers"`
 
-	// Overhead: served QPS of the same scatter stream with the elastic
-	// plane disarmed (AntiEntropy=0: ticks are a single atomic load)
-	// versus armed at an aggressive cadence — the ≤2% CI gate.
-	BaselineQPS float64 `json:"baseline_qps"`
-	ElasticQPS  float64 `json:"elastic_qps"`
-	OverheadPct float64 `json:"overhead_pct"`
+	// Overhead: the same scatter stream served with the elastic plane
+	// disarmed (AntiEntropy=0: ticks are a single atomic load) versus
+	// armed at an aggressive cadence — the ≤2% CI gate.
+	Overhead
 
 	// Narrative: 3-node cluster grows to 5 and retires one founding
 	// member, all under sustained queries + ingest.
@@ -62,14 +57,12 @@ type E22Row struct {
 
 // E22ElasticMembership runs the elastic-membership scenario end to end.
 //
-// Overhead: two identical 3-node clusters (resilience extras stripped
-// the same way on both sides so the comparison isolates the elastic
-// plane) serve the same repeat scatter stream — one with AntiEntropy
-// disarmed, one with the background repair loop armed at an aggressive
-// 35ms cadence. The comparison is paired per query (e21DriveAB):
-// ambient noise hits both sides equally and cancels in the pooled
-// mean-latency ratio, which IS the closed-loop QPS ratio the ≤2% CI
-// gate consumes.
+// Overhead: three 3-node clusters (resilience extras stripped the same
+// way on all so the comparison isolates the elastic plane) serve the
+// same repeat scatter stream through the paired harness
+// (pairedOverhead) — the baseline and null clusters with AntiEntropy
+// disarmed, the treated one with the background repair loop armed at
+// an aggressive 35ms cadence.
 //
 // Narrative: a 3-node cluster (replicas=2, durable WALs, anti-entropy
 // armed at 150ms) serves background whole-space COUNT queries and a
@@ -99,96 +92,33 @@ func E22ElasticMembership(nRows, workers, perWorker int) (E22Row, error) {
 	// --- Overhead: anti-entropy disarmed vs armed, same cluster shape. ---
 	ccfg := core.DefaultConfig(2)
 	ccfg.TrainingQueries = 1 << 30 // exact path: every query scatters
-	mk := func(antiEntropy time.Duration) (*dist.LocalCluster, error) {
-		return dist.StartLocal(row.Nodes, dist.Config{
-			Agent:       ccfg,
-			Replicas:    2,
-			AnswerCache: -1, // every repeat re-scatters: the RPC plane is the workload
-			// Strip the adaptive extras on BOTH sides so the ratio
-			// isolates the elastic plane, not retry/hedge jitter.
-			RetryBudget:        -1,
-			HedgeQuantile:      -1,
-			BreakerFailureRate: -1,
-			AntiEntropy:        antiEntropy,
-		}, rows)
+	disarmed := dist.Config{
+		Agent:       ccfg,
+		Replicas:    2,
+		AnswerCache: -1, // every repeat re-scatters: the RPC plane is the workload
+		// Strip the adaptive extras on every cluster so the comparison
+		// isolates the elastic plane, not retry/hedge jitter.
+		RetryBudget:        -1,
+		HedgeQuantile:      -1,
+		BreakerFailureRate: -1,
 	}
-	base, err := mk(0)
+	armed := disarmed
+	armed.AntiEntropy = 35 * time.Millisecond
+	_, arms, stop, err := clusterArms(hc, row.Nodes, [3]dist.Config{disarmed, armed, disarmed}, rows)
 	if err != nil {
 		return row, err
 	}
-	defer base.Close()
-	elastic, err := mk(35 * time.Millisecond)
+	row.Overhead, err = pairedOverhead(workers, workers*perWorker, arms[0], arms[1], arms[2])
+	stop()
 	if err != nil {
-		return row, err
+		return row, fmt.Errorf("E22: overhead query failed: %v", err)
 	}
-	defer elastic.Close()
-
-	catalog := make([]serve.QueryRequest, 64)
-	cs := workload.NewQueryStream(workload.NewRNG(400), workload.DefaultRegions(2), query.Count)
-	for i := range catalog {
-		q := cs.Next()
-		catalog[i] = serve.QueryRequest{Agg: "count", Los: q.Select.Los, His: q.Select.His}
-	}
-	stream := make([]serve.QueryRequest, workers*perWorker)
-	for i := range stream {
-		stream[i] = catalog[i%len(catalog)]
-	}
-	memberURLs := func(lc *dist.LocalCluster) []string {
-		urls := make([]string, 0, len(lc.IDs()))
-		for _, id := range lc.IDs() {
-			urls = append(urls, lc.URL(id))
-		}
-		return urls
-	}
-	gcPct := debug.SetGCPercent(-1)
-	defer func() { debug.SetGCPercent(gcPct) }()
-	baseURLs, elasticURLs := memberURLs(base), memberURLs(elastic)
-	runtime.GC()
-	warm := stream[:len(stream)/4+1]
-	if _, _, err := e21DriveAB(hc, baseURLs, elasticURLs, warm, workers); err != nil {
-		return row, err
-	}
-	var latBase, latElastic []time.Duration
-	const blocks = 4
-	for b := 0; b < blocks; b++ {
-		runtime.GC()
-		lo, hi := b*len(stream)/blocks, (b+1)*len(stream)/blocks
-		lb, le, err := e21DriveAB(hc, baseURLs, elasticURLs, stream[lo:hi], workers)
-		if err != nil {
-			return row, fmt.Errorf("E22: overhead query failed: %v", err)
-		}
-		latBase = append(latBase, lb...)
-		latElastic = append(latElastic, le...)
-	}
-	pooled := make([]time.Duration, 0, len(latBase)+len(latElastic))
-	pooled = append(append(pooled, latBase...), latElastic...)
-	sort.Slice(pooled, func(i, j int) bool { return pooled[i] < pooled[j] })
-	capLat := pooled[len(pooled)*99/100]
-	sum := func(lats []time.Duration) float64 {
-		var s time.Duration
-		for _, l := range lats {
-			if l > capLat {
-				l = capLat
-			}
-			s += l
-		}
-		return s.Seconds()
-	}
-	sb, se := sum(latBase), sum(latElastic)
-	row.BaselineQPS = float64(workers) * float64(len(latBase)) / sb
-	row.ElasticQPS = float64(workers) * float64(len(latElastic)) / se
-	row.OverheadPct = 100 * (1 - sb/se)
-	base.Close()
-	elastic.Close()
-	debug.SetGCPercent(gcPct)
 
 	// --- Narrative: grow, shrink and heal under sustained load. ---
 	return row, e22Narrative(&row, rows, hc)
 }
 
-// e22Narrative drives the churn story; split out so the overhead
-// section's deferred cluster teardown does not pin both load clusters
-// in memory for its duration.
+// e22Narrative drives the churn story on its own durable cluster.
 func e22Narrative(row *E22Row, rows []storage.Row, hc *http.Client) error {
 	ccfg := core.DefaultConfig(2)
 	ccfg.TrainingQueries = 1 << 30

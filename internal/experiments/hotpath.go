@@ -149,11 +149,7 @@ func E17HotPath(nRows, training, workers, perWorker, clusterQueries int) (E17Row
 	// same finite catalog of queries (dashboards re-ask the same
 	// questions verbatim), so the cache tier absorbs the repeats and
 	// the prediction tier serves the rest.
-	catalog := make([]query.Query, 64)
-	cs := workload.NewQueryStream(workload.NewRNG(300), workload.DefaultRegions(2), query.Count)
-	for i := range catalog {
-		catalog[i] = cs.Next()
-	}
+	catalog := dashboardCatalog(300)
 	sched := serve.NewScheduler(fix.Pool, serve.SchedulerConfig{
 		Workers:        workers,
 		QueueDepth:     4 * workers,

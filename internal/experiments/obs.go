@@ -3,14 +3,11 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/obs"
-	"repro/internal/query"
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -40,14 +37,11 @@ type E19Row struct {
 	// findings after the explicit catch-up.
 	CaughtUp bool `json:"caught_up"`
 
-	// Observability overhead: served QPS of the same repeat-heavy
-	// stream with logging + runtime sampling off versus on. The logger
-	// is rate limited — the limiter, not luck, is what keeps the cost
-	// bounded.
-	Workers     int     `json:"workers"`
-	BaselineQPS float64 `json:"baseline_qps"`
-	ObsQPS      float64 `json:"obs_qps"`
-	OverheadPct float64 `json:"overhead_pct"`
+	// Observability overhead: the E17 repeat-heavy stream served with
+	// logging + runtime sampling off versus on. The logger is rate
+	// limited — the limiter, not luck, is what keeps the cost bounded.
+	Workers int `json:"workers"`
+	Overhead
 	// LogLines / LogDropped prove the logger was live and the limiter
 	// engaged during the instrumented phase.
 	LogLines   int64 `json:"log_lines"`
@@ -95,13 +89,11 @@ func e19Findings(rep dist.ClusterReport, kind string) (n int, peak uint64) {
 // (own-WAL replay only, no log-tail fetch), and a healthy report with
 // zero lag findings after an explicit CatchUp drains the gap.
 //
-// Overhead: the E17 fixture's fast-path stream is served with logging
-// and runtime sampling off versus on, as twenty-four alternating
-// back-to-back pairs; OverheadPct is the median paired QPS ratio —
-// the only estimator whose noise floor on a small box sits under the
-// 2% CI gate (see the measurement comment below). A separate storm
-// phase arms slow-query logging on every query to prove lines flow
-// and the rate limiter bounds them.
+// Overhead: three E17 fixtures serve the fast-path stream through the
+// paired harness (pairedOverhead); the treated one has the logger
+// attached and the runtime sampler live. A separate storm phase arms
+// slow-query logging on every query of the treated fixture to prove
+// lines flow and the rate limiter bounds them.
 func E19Introspection(nRows, training, workers, perWorker int) (E19Row, error) {
 	if workers < 1 {
 		workers = 1
@@ -195,89 +187,50 @@ func E19Introspection(nRows, training, workers, perWorker int) (E19Row, error) {
 	}
 
 	// --- Overhead: logging + runtime sampling at serving speed. ---
-	fix, err := NewE17Fixture(nRows, training)
+	lc.Close() // its background loops must not run beside the measured blocks
+	catalog := dashboardCatalog(300)
+	fx, arms, stop, err := fixtureArms(nRows, training, workers, catalog)
 	if err != nil {
 		return row, err
 	}
-	tracer := trace.NewTracer("local", 0)
-	fix.Pool.EnableTracing(tracer)
-	catalog := make([]query.Query, 64)
-	cs := workload.NewQueryStream(workload.NewRNG(300), workload.DefaultRegions(2), query.Count)
-	for i := range catalog {
-		catalog[i] = cs.Next()
+	// Steady state on every fixture: slow-query logging armed at a
+	// realistic threshold (the repeat-heavy stream serves far under it,
+	// so the slow branch stays cold — production's common case). The
+	// treated fixture adds the logger and the live sampler.
+	for _, f := range fx {
+		tr := trace.NewTracer("local", 0)
+		tr.SetSlowThreshold(50 * time.Millisecond)
+		f.Pool.EnableTracing(tr)
 	}
-	for _, q := range catalog { // prime cache/prediction tiers once
-		_, _ = fix.Pool.Answer(q)
-	}
+	fix := fx[1]
 	cw := &countingWriter{}
 	logger := obs.New(cw, obs.LevelInfo)
 	logger.SetRateLimit(2_000, 200)
+	fix.Pool.SetLogger(logger)
 	sampler := obs.NewRuntimeSampler(50 * time.Millisecond)
-	// Steady state: slow-query logging armed at a realistic threshold
-	// (the repeat-heavy stream serves far under it, so the slow branch
-	// stays cold — production's common case), logger attached, sampler
-	// live. The instrumented run must keep the baseline's throughput.
-	tracer.SetSlowThreshold(50 * time.Millisecond)
-	measureBase := func() float64 {
-		fix.Pool.SetLogger(nil)
-		return serveQPS(fix.Pool, workers, perWorker, catalog)
+	sampler.Start()
+	row.Overhead, err = pairedOverhead(workers, workers*perWorker, arms[0], arms[1], arms[2])
+	sampler.Stop()
+	stop() // the storm below serves the treated fixture's pool directly
+	if err != nil {
+		return row, err
 	}
-	measureObs := func() float64 {
-		fix.Pool.SetLogger(logger)
-		sampler.Start()
-		qps := serveQPS(fix.Pool, workers, perWorker, catalog)
-		sampler.Stop()
-		return qps
-	}
-	// One discarded warm-up pair, then twenty-four alternating-order pairs.
-	// On a small box single-phase QPS wanders ±8% (GC timing, cgroup
-	// throttling), and even the pooled mean of many phases drifts ±3% —
-	// far above a 2% gate. The robust statistic is the MEDIAN of
-	// adjacent-pair ratios: slow drift cancels inside a pair (the two
-	// phases run back to back, order alternating), and the median
-	// discards pairs a GC cycle landed in. Measured base-vs-base noise
-	// floor of this estimator on a 1-core box: ±1.3%.
-	// Drop the dead cluster heap first: carrying it into the measurement
-	// loop makes GC timing the dominant signal.
-	runtime.GC()
-	measureBase()
-	measureObs()
-	var baseQ []float64
-	var ratios []float64
-	for run := 0; run < 24; run++ {
-		var qb, qo float64
-		if run%2 == 0 {
-			qb = measureBase()
-			qo = measureObs()
-		} else {
-			qo = measureObs()
-			qb = measureBase()
-		}
-		baseQ = append(baseQ, qb)
-		ratios = append(ratios, qo/qb)
-	}
-	sort.Float64s(baseQ)
-	sort.Float64s(ratios)
-	med := (ratios[len(ratios)/2-1] + ratios[len(ratios)/2]) / 2
-	// BaselineQPS is the median base-phase throughput; ObsQPS is derived
-	// from it via the median paired ratio, so the ObsQPS/BaselineQPS
-	// comparison the CI gate makes IS the paired estimator.
-	row.BaselineQPS = (baseQ[len(baseQ)/2-1] + baseQ[len(baseQ)/2]) / 2
-	row.ObsQPS = row.BaselineQPS * med
-	row.OverheadPct = 100 * (1 - med)
 
 	// Storm: drop the threshold to 1ns so EVERY query tries to log, and
 	// prove the pipeline end to end — lines flow, and the token bucket
 	// (not luck) bounds them while the Allow gate keeps suppressed calls
 	// to one atomic load each.
-	fix.Pool.SetLogger(logger)
+	tracer := fix.Pool.Tracer()
 	tracer.SetSlowThreshold(time.Nanosecond)
 	before := cw.lines
-	serveQPS(fix.Pool, workers, perWorker, catalog)
+	storm := workers * perWorker
+	for j := 0; j < storm; j++ {
+		_, _ = fix.Pool.Answer(catalog[j%len(catalog)])
+	}
 	fix.Pool.SetLogger(nil)
 	tracer.SetSlowThreshold(0)
 	row.LogLines = cw.lines - before
-	row.LogDropped = int64(workers*perWorker) - row.LogLines
+	row.LogDropped = int64(storm) - row.LogLines
 	if row.LogLines == 0 {
 		return row, fmt.Errorf("E19: slow-query storm emitted no log lines")
 	}

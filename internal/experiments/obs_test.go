@@ -17,8 +17,8 @@ func TestE19Introspection(t *testing.T) {
 	if !row.CaughtUp {
 		t.Error("E19: catch-up did not drain the lag")
 	}
-	if row.BaselineQPS <= 0 || row.ObsQPS <= 0 {
-		t.Errorf("E19: served nothing: baseline=%.0f obs=%.0f", row.BaselineQPS, row.ObsQPS)
+	if row.BaselineQPS <= 0 || row.TreatedQPS <= 0 || row.NullQPS <= 0 || row.Pairs <= 0 {
+		t.Errorf("E19: served nothing: %+v", row.Overhead)
 	}
 	if row.LogLines == 0 {
 		t.Error("E19: instrumented phase emitted no log lines")

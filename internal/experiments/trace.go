@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -23,16 +22,14 @@ import (
 type E18Row struct {
 	Rows int `json:"rows"`
 
-	// Tracing overhead: served QPS of the same repeat-heavy stream with
-	// the tracer attached-but-idle (sampling off) versus sampling 1-in-
-	// SampleEvery queries. OverheadPct is the relative QPS drop.
-	Workers     int     `json:"workers"`
-	SampleEvery int     `json:"sample_every"`
-	BaselineQPS float64 `json:"baseline_qps"`
-	TracedQPS   float64 `json:"traced_qps"`
-	OverheadPct float64 `json:"overhead_pct"`
+	// Tracing overhead: the E17 repeat-heavy stream served by fixtures
+	// with the tracer attached-but-idle (sampling off) and by one
+	// sampling 1-in-SampleEvery queries.
+	Workers     int `json:"workers"`
+	SampleEvery int `json:"sample_every"`
+	Overhead
 	// SampledTraces is how many traces the sampler actually recorded
-	// during the traced phase (proves sampling was live, not disabled).
+	// during the overhead run (proves sampling was live, not disabled).
 	SampledTraces int64 `json:"sampled_traces"`
 
 	// Cross-shard stitching: one forced ?trace=1 exact query against a
@@ -55,43 +52,11 @@ type E18Row struct {
 	SlowLogged int `json:"slow_logged"`
 }
 
-// serveQPS replays perWorker queries from catalog per worker through a
-// fresh scheduler over pool and returns the served throughput.
-func serveQPS(pool *serve.Pool, workers, perWorker int, catalog []query.Query) float64 {
-	sched := serve.NewScheduler(pool, serve.SchedulerConfig{
-		Workers:        workers,
-		QueueDepth:     4 * workers,
-		TenantInflight: -1,
-	})
-	defer sched.Close()
-	base := pool.Recorder().Snapshot().Queries
-	start := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			rng := workload.NewRNG(900 + int64(w))
-			for i := 0; i < perWorker; i++ {
-				_, _ = sched.Answer(fmt.Sprintf("client-%d", w), catalog[rng.Intn(len(catalog))])
-			}
-		}(w)
-	}
-	wg.Wait()
-	phase := time.Since(start)
-	served := pool.Recorder().Snapshot().Queries - base
-	if phase <= 0 {
-		return 0
-	}
-	return float64(served) / phase.Seconds()
-}
-
 // E18TraceOverhead runs the observability scenario end to end.
 //
-// Overhead: the E17 fixture's repeat-heavy stream is served twice —
-// tracer attached with sampling off, then sampling 1-in-sampleEvery —
-// taking the best of two runs per mode so scheduler warm-up noise does
-// not masquerade as tracing cost.
+// Overhead: three E17 fixtures, each with an attached tracer, serve
+// the repeat-heavy stream through the paired harness (pairedOverhead);
+// only the treated fixture's tracer samples, 1-in-sampleEvery.
 //
 // Audit: with the shadow audit forced to probe EVERY model-served
 // answer, each catalog query is served once; the audit's measured MAPE
@@ -113,40 +78,27 @@ func E18TraceOverhead(nRows, training, workers, perWorker, sampleEvery int) (E18
 	}
 	row := E18Row{Rows: nRows, Workers: workers, SampleEvery: sampleEvery}
 
-	fix, err := NewE17Fixture(nRows, training)
+	catalog := dashboardCatalog(300)
+	fx, arms, stop, err := fixtureArms(nRows, training, workers, catalog)
 	if err != nil {
 		return row, err
 	}
-	tracer := trace.NewTracer("local", 0)
-	fix.Pool.EnableTracing(tracer)
-	catalog := make([]query.Query, 64)
-	cs := workload.NewQueryStream(workload.NewRNG(300), workload.DefaultRegions(2), query.Count)
-	for i := range catalog {
-		catalog[i] = cs.Next()
+	for _, f := range fx {
+		f.Pool.EnableTracing(trace.NewTracer("local", 0))
 	}
-	// Prime the cache/prediction tiers once so both measured modes see
-	// the same steady state.
-	for _, q := range catalog {
-		_, _ = fix.Pool.Answer(q)
-	}
-	for run := 0; run < 2; run++ {
-		tracer.SetSampleRate(0)
-		if qps := serveQPS(fix.Pool, workers, perWorker, catalog); qps > row.BaselineQPS {
-			row.BaselineQPS = qps
-		}
-		tracer.SetSampleEvery(int64(sampleEvery))
-		if qps := serveQPS(fix.Pool, workers, perWorker, catalog); qps > row.TracedQPS {
-			row.TracedQPS = qps
-		}
+	fix := fx[1]
+	tracer := fix.Pool.Tracer()
+	tracer.SetSampleEvery(int64(sampleEvery))
+	row.Overhead, err = pairedOverhead(workers, workers*perWorker, arms[0], arms[1], arms[2])
+	stop() // the audit below serves the treated fixture's pool directly
+	if err != nil {
+		return row, err
 	}
 	tracer.SetSampleRate(0)
 	sampled, _ := tracer.Counters()
 	row.SampledTraces = sampled
 	if sampled == 0 {
 		return row, fmt.Errorf("E18: sampler recorded no traces at 1-in-%d", sampleEvery)
-	}
-	if row.BaselineQPS > 0 {
-		row.OverheadPct = 100 * (row.BaselineQPS - row.TracedQPS) / row.BaselineQPS
 	}
 
 	// Continuous accuracy audit, shadow half: probe every model answer.

@@ -7,7 +7,7 @@ func TestE18Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.BaselineQPS <= 0 || row.TracedQPS <= 0 {
+	if row.BaselineQPS <= 0 || row.TreatedQPS <= 0 || row.NullQPS <= 0 || row.Pairs <= 0 {
 		t.Fatalf("E18 served nothing: %+v", row)
 	}
 	if row.SampledTraces == 0 {
