@@ -474,7 +474,7 @@ func BenchmarkE18TraceOverhead(b *testing.B) {
 		var row experiments.E18Row
 		var err error
 		for i := 0; i < b.N; i++ {
-			row, err = experiments.E18TraceOverhead(20_000, 300, 1, 300_000, 100)
+			row, err = experiments.E18TraceOverhead(20_000, 300, 300_000, 100)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -540,7 +540,7 @@ func BenchmarkE19ObsOverhead(b *testing.B) {
 		var row experiments.E19Row
 		var err error
 		for i := 0; i < b.N; i++ {
-			row, err = experiments.E19Introspection(20_000, 300, 1, 300_000)
+			row, err = experiments.E19Introspection(20_000, 300, 300_000)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -589,7 +589,7 @@ func BenchmarkE20FlightSample(b *testing.B) {
 		var row experiments.E20Row
 		var err error
 		for i := 0; i < b.N; i++ {
-			row, err = experiments.E20FlightRecorder(20_000, 300, 1, 300_000)
+			row, err = experiments.E20FlightRecorder(20_000, 300, 300_000)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -639,7 +639,7 @@ func BenchmarkE21Resilience(b *testing.B) {
 		var row experiments.E21Row
 		var err error
 		for i := 0; i < b.N; i++ {
-			row, err = experiments.E21ChaosResilience(20_000, 8, 12_000)
+			row, err = experiments.E21ChaosResilience(20_000, 96_000)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -695,7 +695,7 @@ func BenchmarkE22Elastic(b *testing.B) {
 		var row experiments.E22Row
 		var err error
 		for i := 0; i < b.N; i++ {
-			row, err = experiments.E22ElasticMembership(20_000, 8, 12_000)
+			row, err = experiments.E22ElasticMembership(20_000, 96_000)
 			if err != nil {
 				b.Fatal(err)
 			}

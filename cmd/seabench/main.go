@@ -427,20 +427,16 @@ func run(scale, only string, jsonOut bool) error {
 		}
 	}
 
-	// E18–E22's paired overhead harness takes the same sample counts at
+	// E18–E22's paired overhead harness takes the same request counts at
 	// every scale: they set its resolution, not the experiment's size.
-	// In process it runs one closed-loop client, since more turn a small
-	// box's per-request latency into run-queue waits. Over loopback HTTP
-	// it runs enough clients to keep every core busy: an idle core's
-	// wake-ups put multi-ms stalls into the latency tail.
-	const inProcessPairs, clusterPairsPerWorker = 300_000, 12_000
+	const inProcessRequests, clusterRequests = 300_000, 96_000
 
 	if want("E18") {
 		// Observability: tracing overhead at 1-in-100 sampling, the
 		// shadow audit's MAPE vs ground truth, and the stitched
 		// multi-node span tree of one forced cross-shard trace.
 		r, err := experiments.E18TraceOverhead(pick(10_000, 20_000), 300,
-			1, inProcessPairs, 100)
+			inProcessRequests, 100)
 		if err != nil {
 			return err
 		}
@@ -459,7 +455,7 @@ func run(scale, only string, jsonOut bool) error {
 		// revive, then a clean report after catch-up; plus what logging
 		// and runtime sampling cost at serving speed.
 		r, err := experiments.E19Introspection(pick(10_000, 20_000), 300,
-			1, inProcessPairs)
+			inProcessRequests)
 		if err != nil {
 			return err
 		}
@@ -478,7 +474,7 @@ func run(scale, only string, jsonOut bool) error {
 		// SLO critical, exactly one bundle per cooldown window, latency
 		// ramp queryable at both history resolutions.
 		r, err := experiments.E20FlightRecorder(pick(10_000, 20_000), 300,
-			1, inProcessPairs)
+			inProcessRequests)
 		if err != nil {
 			return err
 		}
@@ -499,7 +495,7 @@ func run(scale, only string, jsonOut bool) error {
 		// peers, zero client-visible errors, honest degraded coverage,
 		// breaker opens and re-closes after the rules clear.
 		r, err := experiments.E21ChaosResilience(pick(8_000, 20_000),
-			pick(4, 8), clusterPairsPerWorker)
+			clusterRequests)
 		if err != nil {
 			return err
 		}
@@ -523,7 +519,7 @@ func run(scale, only string, jsonOut bool) error {
 		// corrupted replica is healed back to bit-identical by the
 		// background anti-entropy loop.
 		r, err := experiments.E22ElasticMembership(pick(8_000, 20_000),
-			pick(4, 8), clusterPairsPerWorker)
+			clusterRequests)
 		if err != nil {
 			return err
 		}

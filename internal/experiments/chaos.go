@@ -29,7 +29,6 @@ type E21Row struct {
 	// Overhead: the same repeat scatter stream served by resilience-
 	// stripped clusters (no retries, no hedging, breakers pinned closed)
 	// and by one with the hardened defaults, chaos disarmed on all.
-	Workers int `json:"workers"`
 	Overhead
 	// Hedges counts hedged scatter RPCs fired by the hardened cluster
 	// during the overhead run (the plumbing is live, not just built).
@@ -195,14 +194,8 @@ func e21SetChaos(hc *http.Client, base string, rules []chaos.Rule) error {
 // observably open, then re-close via a half-open probe after the rules
 // clear. Clients spray queries round-robin over every member, so each
 // member coordinates a share of the stream and warms its own breakers.
-func E21ChaosResilience(nRows, workers, perWorker int) (E21Row, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if perWorker < 1 {
-		perWorker = 1
-	}
-	row := E21Row{Rows: nRows, Nodes: 3, Workers: workers}
+func E21ChaosResilience(nRows, n int) (E21Row, error) {
+	row := E21Row{Rows: nRows, Nodes: 3}
 	rows := workload.StandardRows(nRows/4, 7)
 	hc := e21Client()
 
@@ -222,7 +215,7 @@ func E21ChaosResilience(nRows, workers, perWorker int) (E21Row, error) {
 	if err != nil {
 		return row, err
 	}
-	row.Overhead, err = pairedOverhead(workers, workers*perWorker, arms[0], arms[1], arms[2])
+	row.Overhead, err = pairedOverhead(clusterClients, n, arms[0], arms[1], arms[2])
 	for _, id := range lcs[1].IDs() {
 		row.Hedges += lcs[1].Node(id).NodeStatus().Resilience.Hedges
 	}

@@ -24,9 +24,8 @@ import (
 // load keep every acked row, leak zero client errors, and heal the
 // corrupted replica back to a bit-identical copy.
 type E22Row struct {
-	Rows    int `json:"rows"`
-	Nodes   int `json:"nodes"`
-	Workers int `json:"workers"`
+	Rows  int `json:"rows"`
+	Nodes int `json:"nodes"`
 
 	// Overhead: the same scatter stream served with the elastic plane
 	// disarmed (AntiEntropy=0: ticks are a single atomic load) versus
@@ -78,14 +77,8 @@ type E22Row struct {
 // background anti-entropy loop must detect the digest divergence,
 // repair the replica wholesale from its primary, converge it to a
 // bit-identical copy, and surface the repair in /v1/debug/cluster.
-func E22ElasticMembership(nRows, workers, perWorker int) (E22Row, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if perWorker < 1 {
-		perWorker = 1
-	}
-	row := E22Row{Rows: nRows, Nodes: 3, Workers: workers}
+func E22ElasticMembership(nRows, n int) (E22Row, error) {
+	row := E22Row{Rows: nRows, Nodes: 3}
 	rows := workload.StandardRows(nRows/4, 7)
 	hc := e21Client()
 
@@ -108,7 +101,7 @@ func E22ElasticMembership(nRows, workers, perWorker int) (E22Row, error) {
 	if err != nil {
 		return row, err
 	}
-	row.Overhead, err = pairedOverhead(workers, workers*perWorker, arms[0], arms[1], arms[2])
+	row.Overhead, err = pairedOverhead(clusterClients, n, arms[0], arms[1], arms[2])
 	stop()
 	if err != nil {
 		return row, fmt.Errorf("E22: overhead query failed: %v", err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -27,8 +28,7 @@ type E20Row struct {
 	// Overhead: the E17 repeat-heavy stream served with the recorder
 	// off versus sampling at an aggressive 100ms period (10x production
 	// rate — an upper bound on the 1s default).
-	Workers int `json:"workers"`
-	Series  int `json:"series"`
+	Series int `json:"series"`
 	Overhead
 
 	// Overload narrative (synthetic tick clock, one coordinator).
@@ -80,17 +80,11 @@ type E20Row struct {
 // clock jump past the cooldown must admit exactly one more. The
 // latency ramp must replay from /v1/history at both resolutions, with
 // an exemplar trace id on overload points.
-func E20FlightRecorder(nRows, training, workers, perWorker int) (E20Row, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if perWorker < 1 {
-		perWorker = 1
-	}
-	row := E20Row{Rows: nRows, Nodes: 3, Workers: workers}
+func E20FlightRecorder(nRows, training, n int) (E20Row, error) {
+	row := E20Row{Rows: nRows, Nodes: 3}
 
 	// --- Overhead: recorder off vs sampling every 100ms. ---
-	fx, arms, stop, err := fixtureArms(nRows, training, workers, dashboardCatalog(400))
+	fx, arms, stop, err := fixtureArms(nRows, training, dashboardCatalog(400))
 	if err != nil {
 		return row, err
 	}
@@ -99,12 +93,15 @@ func E20FlightRecorder(nRows, training, workers, perWorker int) (E20Row, error) 
 	fx[1].Pool.EnableFlight(fr)
 	row.Series = len(fr.Metrics())
 	fr.Start()
-	row.Overhead, err = pairedOverhead(workers, workers*perWorker, arms[0], arms[1], arms[2])
+	row.Overhead, err = pairedOverhead(fixtureClients, n, arms[0], arms[1], arms[2])
 	fr.Stop()
-	stop() // the narrative times latencies: leave it no fixtures to collect around
+	stop()
 	if err != nil {
 		return row, err
 	}
+	// The narrative times latencies: collect the fixtures now, not
+	// mid-phase.
+	runtime.GC()
 
 	// --- Narrative: induced overload on a synthetic tick clock. ---
 	spool, err := os.MkdirTemp("", "e20-spool-*")
@@ -123,11 +120,13 @@ func E20FlightRecorder(nRows, training, workers, perWorker int) (E20Row, error) 
 		Anomaly:      true,
 		TraceSample:  1, // every query traced: exemplars on every window
 		SLO: &metrics.SLOConfig{
-			// Tight objective, loose budget: the cached warm phase sits
-			// far under 100us bad-fraction-wise, the all-miss overload
-			// burns at 1/0.2 = 5x — between WarnBurn and CritBurn only
-			// one phase can sit.
-			LatencyObjective: 100 * time.Microsecond,
+			// Tight objective, loose budget: about 1% of cached warm
+			// answers take over 50us, while every all-miss overload
+			// scatter takes longer (at 100us, 30-70% of them came in
+			// under on a fast 2-core box), so the overload burns at
+			// 1/0.2 = 5x — between WarnBurn and CritBurn only one phase
+			// can sit.
+			LatencyObjective: 50 * time.Microsecond,
 			LatencyBudget:    0.2,
 			FastWindow:       30 * time.Second,
 			SlowWindow:       2 * time.Minute,
@@ -172,6 +171,20 @@ func E20FlightRecorder(nRows, training, workers, perWorker int) (E20Row, error) 
 		coord.Flight().Tick(now)
 	}
 
+	// Prime before the first tick. lat_p99_all is a cumulative p99, so
+	// the one cold answer (a cache-miss scatter) would otherwise hold it
+	// at cold-start level until the warm stream makes up 100 samples,
+	// leaving much of the detector's window there, and a stall or two
+	// more tips the window median so the overload cannot stand out.
+	// Thousands of samples also keep the warm p99 from drifting across
+	// a histogram bucket while the detector scores the last warm ticks.
+	// Primes land before the first SLO sample, so no burn window
+	// counts them.
+	for i := 0; i < 5000; i++ {
+		if err := post(warmQ); err != nil {
+			return row, err
+		}
+	}
 	row.WarmTicks = 70 // fills the 60-tick detector window with steady state
 	for t := 0; t < row.WarmTicks; t++ {
 		for i := 0; i < 3; i++ {
@@ -181,8 +194,9 @@ func E20FlightRecorder(nRows, training, workers, perWorker int) (E20Row, error) 
 		}
 		tick()
 	}
-	if n := len(coord.Flight().Anomalies()); n != 0 {
-		return row, fmt.Errorf("E20: warm phase fired %d anomalies", n)
+	if evs := coord.Flight().Anomalies(); len(evs) != 0 {
+		return row, fmt.Errorf("E20: warm phase fired %d anomalies, first on %s (z=%.1f)",
+			len(evs), evs[0].Metric, evs[0].Z)
 	}
 
 	row.OverloadTicks = 65
@@ -206,7 +220,9 @@ func E20FlightRecorder(nRows, training, workers, perWorker int) (E20Row, error) 
 	row.AnomalyMetric, row.AnomalyZ = evs[0].Metric, evs[0].Z
 	row.SLOState = coord.SLO().WorstState()
 	if row.SLOState != 2 {
-		return row, fmt.Errorf("E20: overload did not reach SLO-critical (state %d)", row.SLOState)
+		fast, slow := coord.SLO().WorstBurn()
+		return row, fmt.Errorf("E20: overload did not reach SLO-critical (state %d, burn fast %.1f slow %.1f)",
+			row.SLOState, fast, slow)
 	}
 	st := coord.Flight().Status()
 	row.TriggersFirstWindow = st.Triggers

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -40,7 +41,6 @@ type E19Row struct {
 	// Observability overhead: the E17 repeat-heavy stream served with
 	// logging + runtime sampling off versus on. The logger is rate
 	// limited — the limiter, not luck, is what keeps the cost bounded.
-	Workers int `json:"workers"`
 	Overhead
 	// LogLines / LogDropped prove the logger was live and the limiter
 	// engaged during the instrumented phase.
@@ -94,14 +94,8 @@ func e19Findings(rep dist.ClusterReport, kind string) (n int, peak uint64) {
 // attached and the runtime sampler live. A separate storm phase arms
 // slow-query logging on every query of the treated fixture to prove
 // lines flow and the rate limiter bounds them.
-func E19Introspection(nRows, training, workers, perWorker int) (E19Row, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if perWorker < 1 {
-		perWorker = 1
-	}
-	row := E19Row{Rows: nRows, Nodes: 3, Workers: workers}
+func E19Introspection(nRows, training, n int) (E19Row, error) {
+	row := E19Row{Rows: nRows, Nodes: 3}
 
 	// --- Status plane: kill, observe lag, drain it. ---
 	dir, err := os.MkdirTemp("", "e19-*")
@@ -189,7 +183,7 @@ func E19Introspection(nRows, training, workers, perWorker int) (E19Row, error) {
 	// --- Overhead: logging + runtime sampling at serving speed. ---
 	lc.Close() // its background loops must not run beside the measured blocks
 	catalog := dashboardCatalog(300)
-	fx, arms, stop, err := fixtureArms(nRows, training, workers, catalog)
+	fx, arms, stop, err := fixtureArms(nRows, training, catalog)
 	if err != nil {
 		return row, err
 	}
@@ -209,7 +203,7 @@ func E19Introspection(nRows, training, workers, perWorker int) (E19Row, error) {
 	fix.Pool.SetLogger(logger)
 	sampler := obs.NewRuntimeSampler(50 * time.Millisecond)
 	sampler.Start()
-	row.Overhead, err = pairedOverhead(workers, workers*perWorker, arms[0], arms[1], arms[2])
+	row.Overhead, err = pairedOverhead(fixtureClients, n, arms[0], arms[1], arms[2])
 	sampler.Stop()
 	stop() // the storm below serves the treated fixture's pool directly
 	if err != nil {
@@ -219,18 +213,27 @@ func E19Introspection(nRows, training, workers, perWorker int) (E19Row, error) {
 	// Storm: drop the threshold to 1ns so EVERY query tries to log, and
 	// prove the pipeline end to end — lines flow, and the token bucket
 	// (not luck) bounds them while the Allow gate keeps suppressed calls
-	// to one atomic load each.
+	// to one atomic load each. Four concurrent callers hit the limiter
+	// the way serving workers do.
+	const stormWorkers, stormPerWorker = 4, 5_000
 	tracer := fix.Pool.Tracer()
 	tracer.SetSlowThreshold(time.Nanosecond)
 	before := cw.lines
-	storm := workers * perWorker
-	for j := 0; j < storm; j++ {
-		_, _ = fix.Pool.Answer(catalog[j%len(catalog)])
+	var wg sync.WaitGroup
+	wg.Add(stormWorkers)
+	for w := 0; w < stormWorkers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < stormPerWorker; i++ {
+				_, _ = fix.Pool.Answer(catalog[(w+i*stormWorkers)%len(catalog)])
+			}
+		}(w)
 	}
+	wg.Wait()
 	fix.Pool.SetLogger(nil)
 	tracer.SetSlowThreshold(0)
 	row.LogLines = cw.lines - before
-	row.LogDropped = int64(storm) - row.LogLines
+	row.LogDropped = stormWorkers*stormPerWorker - row.LogLines
 	if row.LogLines == 0 {
 		return row, fmt.Errorf("E19: slow-query storm emitted no log lines")
 	}

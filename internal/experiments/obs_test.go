@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestE19Introspection(t *testing.T) {
-	row, err := E19Introspection(4_000, 120, 4, 100)
+	row, err := E19Introspection(4_000, 120, 400)
 	if err != nil {
 		t.Fatalf("E19 failed: %v (row %+v)", err, row)
 	}

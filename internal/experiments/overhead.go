@@ -33,10 +33,24 @@ type Overhead struct {
 	Pairs int `json:"pairs"`
 }
 
-// overheadBlocks splits the measured requests so a manual collection
-// runs between blocks rather than inside them, bounding the heap the
-// collector-off blocks can grow.
-const overheadBlocks = 64
+const (
+	// fixtureClients is the harness's closed-loop client count against
+	// in-process fixtures. On a 2-core box more clients give the three
+	// instances a per-process bias: with two clients an A/A/A run's
+	// arms drift up to 3.5% apart over 1.8M requests, with four up to
+	// 10%, and more requests make it worse, not better. At one client
+	// the null arm stays within 0.7%.
+	fixtureClients = 1
+	// clusterClients is the client count over loopback HTTP: enough to
+	// keep every core busy, since an idle core's wake-ups put multi-ms
+	// stalls into the latency tail (one client puts the pooled p99 at
+	// 15x the median).
+	clusterClients = 4
+	// overheadBlocks splits the measured requests so a manual collection
+	// runs between blocks rather than inside them, bounding the heap the
+	// collector-off blocks can grow.
+	overheadBlocks = 64
+)
 
 // pairedOverhead measures what treated costs against base, with null
 // (an instance built like base) as the in-run A/A control. workers
@@ -182,7 +196,7 @@ func dashboardCatalog(seed int64) []query.Query {
 // run: identically seeded E17 fixtures, each primed on catalog and
 // served by its own scheduler. Arm k's request j asks
 // catalog[j%len(catalog)] of fixture k; stop closes the schedulers.
-func fixtureArms(nRows, training, workers int, catalog []query.Query) (fx [3]*E17Fixture, arms [3]func(int) error, stop func(), err error) {
+func fixtureArms(nRows, training int, catalog []query.Query) (fx [3]*E17Fixture, arms [3]func(int) error, stop func(), err error) {
 	var scheds []*serve.Scheduler
 	stop = func() {
 		for _, s := range scheds {
@@ -199,8 +213,8 @@ func fixtureArms(nRows, training, workers int, catalog []query.Query) (fx [3]*E1
 			_, _ = f.Pool.Answer(q)
 		}
 		sched := serve.NewScheduler(f.Pool, serve.SchedulerConfig{
-			Workers:        workers,
-			QueueDepth:     4 * workers,
+			Workers:        fixtureClients,
+			QueueDepth:     4 * fixtureClients,
 			TenantInflight: -1,
 		})
 		scheds = append(scheds, sched)

@@ -25,7 +25,6 @@ type E18Row struct {
 	// Tracing overhead: the E17 repeat-heavy stream served by fixtures
 	// with the tracer attached-but-idle (sampling off) and by one
 	// sampling 1-in-SampleEvery queries.
-	Workers     int `json:"workers"`
 	SampleEvery int `json:"sample_every"`
 	Overhead
 	// SampledTraces is how many traces the sampler actually recorded
@@ -66,20 +65,14 @@ type E18Row struct {
 // Cluster: a forced ?trace=1 exact query against a 3-node LocalCluster
 // must return one stitched span tree covering multiple nodes with at
 // most one partial_rpc span per remote holder.
-func E18TraceOverhead(nRows, training, workers, perWorker, sampleEvery int) (E18Row, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if perWorker < 1 {
-		perWorker = 1
-	}
+func E18TraceOverhead(nRows, training, n, sampleEvery int) (E18Row, error) {
 	if sampleEvery < 1 {
 		sampleEvery = 100
 	}
-	row := E18Row{Rows: nRows, Workers: workers, SampleEvery: sampleEvery}
+	row := E18Row{Rows: nRows, SampleEvery: sampleEvery}
 
 	catalog := dashboardCatalog(300)
-	fx, arms, stop, err := fixtureArms(nRows, training, workers, catalog)
+	fx, arms, stop, err := fixtureArms(nRows, training, catalog)
 	if err != nil {
 		return row, err
 	}
@@ -89,7 +82,7 @@ func E18TraceOverhead(nRows, training, workers, perWorker, sampleEvery int) (E18
 	fix := fx[1]
 	tracer := fix.Pool.Tracer()
 	tracer.SetSampleEvery(int64(sampleEvery))
-	row.Overhead, err = pairedOverhead(workers, workers*perWorker, arms[0], arms[1], arms[2])
+	row.Overhead, err = pairedOverhead(fixtureClients, n, arms[0], arms[1], arms[2])
 	stop() // the audit below serves the treated fixture's pool directly
 	if err != nil {
 		return row, err

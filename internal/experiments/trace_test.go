@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestE18Shape(t *testing.T) {
-	row, err := E18TraceOverhead(5_000, 150, 4, 100, 10)
+	row, err := E18TraceOverhead(5_000, 150, 400, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
